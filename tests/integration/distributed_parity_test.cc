@@ -10,6 +10,7 @@
 #include "comms/distributed_test_util.h"
 #include "common/fault.h"
 #include "core/sgcl_trainer.h"
+#include "core/train_state.h"
 #include "data/shard_store.h"
 #include "data/synthetic_molecule.h"
 #include "gtest/gtest.h"
@@ -19,6 +20,7 @@ namespace {
 
 using ::sgcl::testing::ClusterConfig;
 using ::sgcl::testing::RunCluster;
+using ::sgcl::testing::TestCoordinator;
 
 namespace fs = std::filesystem;
 
@@ -145,6 +147,78 @@ TEST(DistributedParityTest, KillAndRejoinKeepsBitwiseParity) {
   EXPECT_GT(FaultInjector::Global().hits("comms/send"), 0);
   EXPECT_EQ(stats[0].epoch_losses, baseline);
   EXPECT_EQ(stats[1].epoch_losses, baseline);
+}
+
+// One worker cancelling would stall the cluster, so PretrainDistributed
+// never polls should_cancel: a run whose hook always says stop still
+// completes, with the uncancelled run's losses.
+TEST(DistributedParityTest, ShouldCancelIsIgnored) {
+  GraphDataset ds = ParityDataset();
+  const InMemorySource source(&ds);
+  const ClusterConfig cc = ParityCluster(1);
+  const std::vector<float> baseline = ClusterLosses(cc, source);
+
+  TestCoordinator coordinator(cc, source);
+  SgclTrainer trainer(cc.config, cc.seed);
+  PretrainOptions options;
+  int polls = 0;
+  options.should_cancel = [&polls] {
+    ++polls;
+    return true;
+  };
+  DistributedPretrainOptions dist;
+  dist.world_size = 1;
+  dist.grad_accum = cc.accum;
+  dist.coordinator_port = coordinator.port();
+  auto stats = trainer.PretrainDistributed(source, {}, options, dist);
+  coordinator.Shutdown();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_FALSE(stats->cancelled);
+  EXPECT_EQ(polls, 0);
+  EXPECT_EQ(stats->epoch_losses, baseline);
+}
+
+// Distributed checkpoints are written at round boundaries only, so a
+// batch cursor that is not a multiple of grad_accum (here: a
+// single-process checkpoint after two batches, resumed at accum 4) is
+// refused before the worker joins.
+TEST(DistributedParityTest, ResumeRejectsMidRoundCursor) {
+  GraphDataset ds = ParityDataset();
+  const InMemorySource source(&ds);
+  const ClusterConfig cc = ParityCluster(1);
+  const std::string ckpt_dir = TempDir("dist_parity_mid_round");
+  {
+    SgclTrainer trainer(cc.config, cc.seed);
+    PretrainOptions options;
+    options.checkpoint_dir = ckpt_dir;
+    options.checkpoint_every_batches = 2;
+    int polls = 0;
+    options.should_cancel = [&polls] { return ++polls > 3; };
+    auto stats = trainer.Pretrain(source, {}, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_TRUE(stats->cancelled);
+  }
+  const auto latest = FindLatestCheckpoint(ckpt_dir);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  ASSERT_EQ(*latest, MidEpochCheckpointFileName(ckpt_dir, 0, 2));
+
+  TestCoordinator coordinator(cc, source);
+  SgclTrainer trainer(cc.config, cc.seed);
+  PretrainOptions options;
+  options.resume_from = *latest;
+  DistributedPretrainOptions dist;
+  dist.world_size = 1;
+  dist.grad_accum = cc.accum;
+  dist.coordinator_port = coordinator.port();
+  auto stats = trainer.PretrainDistributed(source, {}, options, dist);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument)
+      << stats.status().ToString();
+  EXPECT_NE(stats.status().message().find("grad_accum 4"),
+            std::string::npos)
+      << stats.status().ToString();
+  EXPECT_EQ(coordinator.get().completed_rounds(), 0u);
+  fs::remove_all(ckpt_dir);
 }
 
 }  // namespace
