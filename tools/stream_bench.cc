@@ -12,10 +12,12 @@
 //   2. in-memory pretrain over the equivalent GraphDataset;
 //   3. streaming pretrain over the ShardedGraphStore via the prefetcher.
 // Emits google-benchmark JSON (bench_diff-compatible): per-phase wall
-// micros plus derived graphs/sec and the decode/stall counters that
-// explain any gap. RSS is sampled after each phase (ru_maxrss is
-// monotone, so phase order puts the streaming claim on the conservative
-// side: its reported peak includes everything before it).
+// micros only, because bench_diff reads every row as a time. Graphs/sec,
+// the streaming/in-memory ratio and the decode/stall counters that
+// explain any gap go to stdout. RSS is sampled after each phase
+// (ru_maxrss is monotone, so phase order puts the streaming claim on
+// the conservative side: its reported peak includes everything before
+// it).
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -157,8 +159,6 @@ int Run(int argc, char** argv) {
   }
   const double write_s = write_watch.ElapsedSeconds();
   entries.emplace_back("stream/shard_write", write_s * 1e6);
-  entries.emplace_back("stream/shard_write_graphs_per_s",
-                       static_cast<double>(graphs) / write_s);
 
   // Phase 2: in-memory baseline (identical corpus by construction).
   const int64_t rss_before_mem_kb = PeakRssKb();
@@ -177,7 +177,6 @@ int Run(int argc, char** argv) {
   const double mem_gps =
       static_cast<double>(graphs) * epochs / mem_s;
   entries.emplace_back("stream/pretrain_mem", mem_s * 1e6);
-  entries.emplace_back("stream/pretrain_mem_graphs_per_s", mem_gps);
   const int64_t rss_after_mem_kb = PeakRssKb();
 
   // Phase 3: streaming over the sharded store through the prefetcher.
@@ -203,7 +202,6 @@ int Run(int argc, char** argv) {
   const double disk_gps =
       static_cast<double>(graphs) * epochs / disk_s;
   entries.emplace_back("stream/pretrain_sharded", disk_s * 1e6);
-  entries.emplace_back("stream/pretrain_sharded_graphs_per_s", disk_gps);
   const int64_t rss_after_disk_kb = PeakRssKb();
 
   // Single-shard stores train bitwise-identically to in-memory; with
@@ -237,7 +235,6 @@ int Run(int argc, char** argv) {
               static_cast<long long>(rss_before_mem_kb),
               static_cast<long long>(rss_after_mem_kb),
               static_cast<long long>(rss_after_disk_kb));
-  entries.emplace_back("stream/throughput_ratio_pct", 100.0 * ratio);
 
   if (temp_store) {
     std::error_code ec;
