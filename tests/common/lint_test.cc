@@ -423,5 +423,144 @@ TEST(LintReportTest, EmptyFindingsJson) {
   EXPECT_EQ(parsed->GetDouble("count"), 0.0);
 }
 
+// ---- golden report ---------------------------------------------------
+
+// A corpus of the awkward cases: statements split over lines, literals
+// and comments holding rule triggers, directive bodies, suppressions in
+// every position. The whole report (findings, stale suppressions, fix
+// edits) is pinned byte for byte, so a change to any line number,
+// column or message shows up here.
+constexpr char kGoldenHeader[] = R"cc(#ifndef GOLDEN_WRONG_H
+#define GOLDEN_WRONG_H
+#include <map>
+using namespace std;  // NOLINT(sgcl-R5)
+namespace golden {
+Status Save(int fd);
+Result<std::map<int,
+                int>> LoadMany(int fd);
+Result<int> ReadOne(int fd);
+}  // namespace golden
+#endif  // GOLDEN_WRONG_H
+)cc";
+
+constexpr char kGoldenDefineHeader[] = R"cc(#ifndef SGCL_CORE_GOLDEN_DEFINE_H_
+#define OTHER_GUARD_H_  // NOLINT
+#endif
+)cc";
+
+constexpr char kGoldenSource[] = R"cc(#include "core/golden.h"
+#define SEED_IT() srand(1)
+#define MAKE_IT(T) \
+  new T
+#define CHECK_IT(x) SGCL_CHECK(x++)
+namespace golden {
+const char* kDoc = "x;  // NOLINT(sgcl-R2)";
+void Use(int* p, int i) {
+  Save(3);
+  Save(
+      4);
+  int x = 1'000'000; int y = rand();
+  const char* raw = R"(rand() new int // NOLINT)";
+  /* rand() new int // */ int z = 0;
+  SGCL_CHECK(i <
+             (i <<= 2));
+  SGCL_CHECK(f(g(i)) == (i = 3));
+  delete[] p;
+  long t = time(0);
+  const bool q =
+      Save(5).ok();
+  Save(6),
+      Save(7);
+  ReadOne(2);
+  LoadMany(2);
+  std::random_device rd; auto now = std::chrono::system_clock::now();
+}
+struct S {
+  S(const S&) = delete;
+  void* operator new(size_t n);
+  S(int v);  // NOLINT(google-explicit-constructor)
+};
+// Prose mentioning NOLINT(sgcl-R5) is not a directive.
+/* NOLINT(sgcl-R5) */ int* leak = new int(1);
+// NOLINTNEXTLINE(google-explicit-constructor)
+S::S(int v) {}
+int* w = new int(2);  // NOLINT(sgcl-R5): pool-owned
+int* u = new int(3);  // NOLINT(sgcl-R2)
+}  // namespace golden
+// NOLINTNEXTLINE(sgcl-R5))cc";
+
+constexpr char kGoldenServe[] = R"cc(#include <atomic>
+void Reload() { auto m = LoadCheckpoint("x"); std::ifstream in("y"); }
+std::atomic<int> hits{0};
+int Hits() { return hits.load(); }
+)cc";
+
+constexpr char kGoldenCheckpoint[] = R"cc(void Write(const char* b, size_t n) {
+  FILE* f = fopen("p", "wb");
+  fwrite(b, 1, n, f);
+  std::ofstream out("q");  // NOLINT(sgcl-R6): test-only path
+  int* scratch = new int[4];
+}
+)cc";
+
+constexpr char kGoldenReport[] =
+    R"golden({"count":25,"findings":[)golden"
+    R"golden({"file":"src/core/golden.cc","line":2,"rule":"sgcl-R2","severity":"error","message":"srand() breaks bitwise determinism; use common/rng (seeded PRNG) or add an allowlist entry for legitimate wall-clock use"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":4,"rule":"sgcl-R5","severity":"error","message":"naked 'new': use make_unique/containers, or suppress for intentionally leaked singletons"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":9,"rule":"sgcl-R1","severity":"warning","message":"result of fallible call 'Save' is discarded; bind it, return it, or wrap it in a check macro"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":12,"rule":"sgcl-R2","severity":"error","message":"rand() breaks bitwise determinism; use common/rng (seeded PRNG) or add an allowlist entry for legitimate wall-clock use"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":15,"rule":"sgcl-R3","severity":"error","message":"compound assignment inside SGCL_CHECK: checks must be side-effect free (they compile out or abort)"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":17,"rule":"sgcl-R3","severity":"error","message":"assignment inside SGCL_CHECK: checks must be side-effect free (they compile out or abort)"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":18,"rule":"sgcl-R5","severity":"error","message":"naked 'delete': owning pointers belong in unique_ptr"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":19,"rule":"sgcl-R2","severity":"error","message":"time(nullptr)-style seeding breaks bitwise determinism; use common/rng (seeded PRNG) or add an allowlist entry for legitimate wall-clock use"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":24,"rule":"sgcl-R1","severity":"warning","message":"result of fallible call 'ReadOne' is discarded; bind it, return it, or wrap it in a check macro"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":26,"rule":"sgcl-R2","severity":"error","message":"std::chrono::system_clock breaks bitwise determinism; use common/rng (seeded PRNG) or add an allowlist entry for legitimate wall-clock use"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":26,"rule":"sgcl-R2","severity":"error","message":"std::random_device breaks bitwise determinism; use common/rng (seeded PRNG) or add an allowlist entry for legitimate wall-clock use"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":38,"rule":"sgcl-R5","severity":"error","message":"naked 'new': use make_unique/containers, or suppress for intentionally leaked singletons"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":38,"rule":"sgcl-nolint","severity":"warning","message":"NOLINT(sgcl-R2) suppresses nothing here; remove it"},)golden"
+    R"golden({"file":"src/core/golden.cc","line":40,"rule":"sgcl-nolint","severity":"warning","message":"NOLINT(sgcl-R5) suppresses nothing here; remove it"},)golden"
+    R"golden({"file":"src/core/golden.h","line":1,"rule":"sgcl-R4","severity":"error","message":"include guard 'GOLDEN_WRONG_H' does not match path (expected SGCL_CORE_GOLDEN_H_)"},)golden"
+    R"golden({"file":"src/core/golden.h","line":4,"rule":"sgcl-R4","severity":"error","message":"'using namespace' in a header leaks into every includer"},)golden"
+    R"golden({"file":"src/core/golden.h","line":4,"rule":"sgcl-nolint","severity":"warning","message":"NOLINT(sgcl-R5) suppresses nothing here; remove it"},)golden"
+    R"golden({"file":"src/core/golden_define.h","line":1,"rule":"sgcl-R4","severity":"error","message":"#ifndef SGCL_CORE_GOLDEN_DEFINE_H_ is not followed by a matching #define"},)golden"
+    R"golden({"file":"src/core/golden_define.h","line":2,"rule":"sgcl-nolint","severity":"warning","message":"NOLINT(*) suppresses nothing here; remove it"},)golden"
+    R"golden({"file":"src/nn/golden_checkpoint.cc","line":2,"rule":"sgcl-R6","severity":"error","message":"raw 'fopen' in a checkpoint path bypasses the atomic-write API; persist through AtomicWriteFile (common/io.h) so a crash can never publish a torn checkpoint"},)golden"
+    R"golden({"file":"src/nn/golden_checkpoint.cc","line":3,"rule":"sgcl-R6","severity":"error","message":"raw 'fwrite' in a checkpoint path bypasses the atomic-write API; persist through AtomicWriteFile (common/io.h) so a crash can never publish a torn checkpoint"},)golden"
+    R"golden({"file":"src/serve/golden_serve.cc","line":2,"rule":"sgcl-R7","severity":"error","message":"'LoadCheckpoint' in the serving layer: src/serve/ must not touch the filesystem — load checkpoints and datasets in the CLI before ServeService::Start so request handlers never block on disk"},)golden"
+    R"golden({"file":"src/serve/golden_serve.cc","line":2,"rule":"sgcl-R7","severity":"error","message":"'ifstream' in the serving layer: src/serve/ must not touch the filesystem — load checkpoints and datasets in the CLI before ServeService::Start so request handlers never block on disk"},)golden"
+    R"golden({"file":"src/serve/golden_serve.cc","line":4,"rule":"sgcl-R10","severity":"warning","message":"atomic load() without an explicit memory order defaults to seq_cst on a hot path; spell the ordering (std::memory_order_seq_cst if that is really what you want)"},)golden"
+    R"golden({"file":"tools/golden_allowlist.txt","line":9,"rule":"sgcl-nolint","severity":"warning","message":"allowlist entry 'src/core/missing.cc:sgcl-R2' no longer suppresses anything; delete it"})golden"
+    R"golden(]}
+)golden"
+    "src/core/golden.h:1:8:14:SGCL_CORE_GOLDEN_H_\n"
+    "src/core/golden.h:2:8:14:SGCL_CORE_GOLDEN_H_\n"
+    "src/core/golden.h:11:11:14:SGCL_CORE_GOLDEN_H_\n"
+    "src/core/golden_define.h:2:8:14:SGCL_CORE_GOLDEN_DEFINE_H_\n"
+    "src/serve/golden_serve.cc:4:30:0:std::memory_order_seq_cst\n";
+
+TEST(LintGoldenTest, ReportAndFixesAreByteStable) {
+  LintOptions options;
+  options.report_stale_nolint = true;
+  options.allowlist_path = "tools/golden_allowlist.txt";
+  options.allow.push_back({"src/nn/golden_checkpoint.cc", "sgcl-R5", 4});
+  options.allow.push_back({"src/core/missing.cc", "sgcl-R2", 9});
+  Linter linter(options);
+  linter.AddFile("src/serve/golden_serve.cc", kGoldenServe);
+  linter.AddFile("src/core/golden.h", kGoldenHeader);
+  linter.AddFile("src/core/golden_define.h", kGoldenDefineHeader);
+  linter.AddFile("src/core/golden.cc", kGoldenSource);
+  linter.AddFile("src/nn/golden_checkpoint.cc", kGoldenCheckpoint);
+  const std::vector<Finding> findings = linter.Run();
+  std::string report = FormatJson(findings);
+  for (const Finding& f : findings) {
+    for (const FixEdit& e : f.fixes) {
+      report += f.file + ":" + std::to_string(e.line) + ":" +
+                std::to_string(e.col) + ":" + std::to_string(e.len) + ":" +
+                e.replacement + "\n";
+    }
+  }
+  EXPECT_EQ(report, kGoldenReport);
+}
+
 }  // namespace
 }  // namespace sgcl::lint
