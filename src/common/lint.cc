@@ -1,6 +1,8 @@
-// Line pass, suppression handling, and orchestration of the lint
-// engine. The flow pass (tokenizer, declaration tables, R8-R10) lives
-// in lint_flow.cc; the split keeps each half reviewable.
+// Rules R1-R7, suppression handling, and orchestration of the lint
+// engine. Every rule reads the output of the engine's one lexer
+// (internal::Lex in lint_flow.cc, beside the declaration tables and the
+// flow rules R8-R10): R1-R7 its code tokens line by line, the NOLINT
+// parser its comments and string literals.
 #include "common/lint.h"
 
 #include <algorithm>
@@ -8,7 +10,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,8 @@
 namespace sgcl::lint {
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+using internal::CodeLineTokens;
+using internal::IsIdentChar;
 
 std::string Trim(const std::string& s) {
   size_t b = s.find_first_not_of(" \t\r\n");
@@ -33,181 +30,69 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-// True when s[pos..] starts an occurrence of `ident` as a whole token.
-bool TokenAt(const std::string& s, size_t pos, const std::string& ident) {
-  if (s.compare(pos, ident.size(), ident) != 0) return false;
-  if (pos > 0 && IsIdentChar(s[pos - 1])) return false;
-  const size_t end = pos + ident.size();
-  return end >= s.size() || !IsIdentChar(s[end]);
+// True when `b` starts where `a` ends, with no space between them.
+bool Adjacent(const Token& a, const Token& b) {
+  return a.line == b.line &&
+         a.col + static_cast<int>(a.text.size()) == b.col;
 }
 
-size_t SkipSpaces(const std::string& s, size_t pos) {
-  while (pos < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[pos]))) {
-    ++pos;
+// The tokens of `line` from index `from` on, spaced as in the source.
+std::string Spell(const std::vector<Token>& line, size_t from) {
+  std::string s;
+  for (size_t k = from; k < line.size(); ++k) {
+    if (k > from) {
+      const int gap = line[k].col - line[k - 1].col -
+                      static_cast<int>(line[k - 1].text.size());
+      s.append(static_cast<size_t>(gap), ' ');
+    }
+    s += line[k].text;
   }
-  return pos;
+  return s;
+}
+
+// True when `line` opens with `#name`, no space after the '#'.
+bool IsDirectiveLine(const std::vector<Token>& line, const char* name) {
+  return line.size() >= 2 && line[0].text == "#" && line[1].text == name &&
+         Adjacent(line[0], line[1]);
 }
 
 }  // namespace
 
-namespace internal {
-
-void ScrubLines(const std::string& content, std::vector<std::string>* raw,
-                std::vector<std::string>* scrubbed,
-                std::vector<int>* comment_cols) {
-  raw->clear();
-  scrubbed->clear();
-  if (comment_cols != nullptr) comment_cols->clear();
-  std::vector<std::string> lines;
-  {
-    std::string cur;
-    for (char c : content) {
-      if (c == '\n') {
-        lines.push_back(cur);
-        cur.clear();
-      } else {
-        cur += c;
+std::vector<std::string> internal::FallibleNames(const CodeLineTokens& lines) {
+  std::set<std::string> names;
+  for (const std::vector<Token>& t : lines) {
+    for (size_t k = 0; k < t.size(); ++k) {
+      size_t name = k + 1;  // the token after the return type
+      if (t[k].text == "Result" && name < t.size() && t[name].text == "<") {
+        int depth = 0;
+        for (; name < t.size(); ++name) {
+          if (t[name].text == "<") ++depth;
+          if (t[name].text == ">" && --depth == 0) break;
+        }
+        ++name;
+      } else if (t[k].text != "Status") {
+        continue;
       }
+      if (name >= t.size() || t[name].kind != TokenKind::kIdentifier) continue;
+      if (name + 1 < t.size() && t[name + 1].text == "(") {
+        names.insert(t[name].text);
+      }
+      k = name;
     }
-    lines.push_back(cur);
   }
-
-  enum class State { kCode, kBlockComment, kRawString };
-  State state = State::kCode;
-  std::string raw_delim;  // for kRawString: the )delim" terminator
-  for (const std::string& line : lines) {
-    raw->push_back(line);
-    int comment_col = -1;
-    std::string out = line;
-    size_t i = 0;
-    while (i < out.size()) {
-      if (state == State::kBlockComment) {
-        const size_t close = out.find("*/", i);
-        const size_t stop = close == std::string::npos ? out.size() : close;
-        for (size_t j = i; j < stop; ++j) out[j] = ' ';
-        if (close == std::string::npos) {
-          i = out.size();
-        } else {
-          out[close] = out[close + 1] = ' ';
-          i = close + 2;
-          state = State::kCode;
-        }
-        continue;
-      }
-      if (state == State::kRawString) {
-        const size_t close = out.find(raw_delim, i);
-        const size_t stop =
-            close == std::string::npos ? out.size() : close + raw_delim.size();
-        for (size_t j = i; j < stop; ++j) out[j] = ' ';
-        if (close == std::string::npos) {
-          i = out.size();
-        } else {
-          i = close + raw_delim.size();
-          state = State::kCode;
-        }
-        continue;
-      }
-      const char c = out[i];
-      if (c == '/' && i + 1 < out.size() && out[i + 1] == '/') {
-        comment_col = static_cast<int>(i);
-        for (size_t j = i; j < out.size(); ++j) out[j] = ' ';
-        break;
-      }
-      if (c == '/' && i + 1 < out.size() && out[i + 1] == '*') {
-        out[i] = out[i + 1] = ' ';
-        i += 2;
-        state = State::kBlockComment;
-        continue;
-      }
-      if (c == 'R' && i + 1 < out.size() && out[i + 1] == '"' &&
-          (i == 0 || !IsIdentChar(out[i - 1]))) {
-        const size_t open = out.find('(', i + 2);
-        if (open != std::string::npos) {
-          // Built character-wise: GCC 12's -Wrestrict misfires on
-          // std::string concatenation/append here (PR105329).
-          raw_delim.clear();
-          raw_delim += ')';
-          for (size_t j = i + 2; j < open; ++j) raw_delim += out[j];
-          raw_delim += '"';
-          for (size_t j = i; j <= open; ++j) out[j] = ' ';
-          i = open + 1;
-          state = State::kRawString;
-          continue;
-        }
-      }
-      if (c == '\'' && i > 0 && IsIdentChar(out[i - 1])) {
-        ++i;  // digit separator (1'000'000), not a char literal
-        continue;
-      }
-      if (c == '"' || c == '\'') {
-        const char quote = c;
-        size_t j = i + 1;
-        while (j < out.size()) {
-          if (out[j] == '\\') {
-            j += 2;
-            continue;
-          }
-          if (out[j] == quote) break;
-          ++j;
-        }
-        const size_t stop = std::min(j, out.size() - 1);
-        for (size_t k = i; k <= stop; ++k) out[k] = ' ';
-        i = stop + 1;
-        continue;
-      }
-      ++i;
-    }
-    scrubbed->push_back(out);
-    if (comment_cols != nullptr) comment_cols->push_back(comment_col);
-  }
+  return {names.begin(), names.end()};
 }
-
-void CollectFallibleNames(const std::string& line,
-                          std::set<std::string>* names) {
-  for (size_t i = 0; i < line.size(); ++i) {
-    size_t after = std::string::npos;
-    if (TokenAt(line, i, "Status")) {
-      after = i + 6;
-    } else if (TokenAt(line, i, "Result")) {
-      size_t j = SkipSpaces(line, i + 6);
-      if (j >= line.size() || line[j] != '<') continue;
-      int depth = 0;
-      while (j < line.size()) {
-        if (line[j] == '<') ++depth;
-        if (line[j] == '>') {
-          --depth;
-          if (depth == 0) break;
-        }
-        ++j;
-      }
-      if (j >= line.size()) continue;  // template args span lines: skip
-      after = j + 1;
-    }
-    if (after == std::string::npos) continue;
-    size_t j = SkipSpaces(line, after);
-    if (j >= line.size() || !IsIdentStart(line[j])) continue;
-    const size_t name_begin = j;
-    while (j < line.size() && IsIdentChar(line[j])) ++j;
-    const std::string name = line.substr(name_begin, j - name_begin);
-    j = SkipSpaces(line, j);
-    if (j < line.size() && line[j] == '(') names->insert(name);
-    i = j;
-  }
-}
-
-}  // namespace internal
 
 namespace {
 
 // ---- suppressions ----------------------------------------------------
 
-// One NOLINT / NOLINTNEXTLINE comment. Only a directive that opens its
+// One NOLINT / NOLINTNEXTLINE directive. Only one that opens a `//`
 // comment (`// NOLINT...`) and names at least one sgcl rule (or is
 // bare) is `eligible` for stale reporting: prose that merely mentions
 // NOLINT, or string-literal fixtures containing one, never is.
 struct NolintComment {
-  int line_idx = 0;      // 0-based line of the comment itself
+  int line = 0;          // line of the comment itself
   std::string rules;     // as written: "*" or "sgcl-R5, sgcl-R9"
   bool eligible = false;
   bool used = false;
@@ -215,69 +100,78 @@ struct NolintComment {
 
 struct Suppressions {
   std::vector<NolintComment> comments;
-  // Per 0-based target line: (comment index, rule-or-"*") pairs.
-  std::vector<std::vector<std::pair<int, std::string>>> by_line;
+  // Per target line: (comment index, rule-or-"*") pairs.
+  std::map<int, std::vector<std::pair<int, std::string>>> by_line;
 };
 
-Suppressions ParseSuppressions(const std::vector<std::string>& raw,
-                               const std::vector<int>& comment_cols) {
+constexpr char kSpaces[] = " \t\n\v\f\r";
+
+// Reads the directives in `text`, the part of one comment or literal
+// token that lies on source line `line`. `line_comment`: `text` is a
+// whole `//` comment.
+void ParseNolints(const std::string& text, int line, bool line_comment,
+                  Suppressions* out) {
+  size_t pos = 0;
+  while ((pos = text.find("NOLINT", pos)) != std::string::npos) {
+    const bool nextline = text.compare(pos, 14, "NOLINTNEXTLINE") == 0;
+    const size_t after = pos + (nextline ? 14 : 6);
+    NolintComment comment;
+    comment.line = line;
+    comment.eligible =
+        line_comment && text.find_first_not_of(kSpaces, 2) == pos;
+    std::vector<std::string> rules;
+    if (after < text.size() && text[after] == '(') {
+      const size_t close = text.find(')', after);
+      const std::string cats =
+          close == std::string::npos
+              ? text.substr(after + 1)
+              : text.substr(after + 1, close - after - 1);
+      for (const std::string& cat : StrSplit(cats, ',')) {
+        const std::string c = Trim(cat);
+        if (c.rfind("sgcl-", 0) == 0) rules.push_back(c);
+      }
+      if (rules.empty()) comment.eligible = false;  // not our categories
+      for (size_t r = 0; r < rules.size(); ++r) {
+        comment.rules += (r > 0 ? ", " : "") + rules[r];
+      }
+    } else {
+      // A bare directive must end the comment or carry a `: reason`;
+      // "NOLINT comments are consulted..." is prose, not a directive.
+      const bool word_end = after >= text.size() || !IsIdentChar(text[after]);
+      const size_t next = text.find_first_not_of(kSpaces, after);
+      if (!word_end || (next != std::string::npos && text[next] != ':')) {
+        pos = after;
+        continue;
+      }
+      rules.push_back("*");
+      comment.rules = "*";
+    }
+    const int ci = static_cast<int>(out->comments.size());
+    out->comments.push_back(comment);
+    for (const std::string& r : rules) {
+      out->by_line[nextline ? line + 1 : line].push_back({ci, r});
+    }
+    pos = after;
+  }
+}
+
+// NOLINT directives live in comments; one in a string or character
+// literal still suppresses its line but is never eligible.
+Suppressions ParseSuppressions(const std::vector<Token>& tokens,
+                               const std::vector<Token>& aside) {
   Suppressions out;
-  out.by_line.resize(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const std::string& line = raw[i];
-    size_t pos = 0;
-    while ((pos = line.find("NOLINT", pos)) != std::string::npos) {
-      const bool nextline =
-          line.compare(pos, std::string("NOLINTNEXTLINE").size(),
-                       "NOLINTNEXTLINE") == 0;
-      size_t after = pos + (nextline ? 14 : 6);
-      const size_t target =
-          nextline ? (i + 1 < raw.size() ? i + 1 : raw.size()) : i;
-      NolintComment comment;
-      comment.line_idx = static_cast<int>(i);
-      const int ccol = comment_cols[i];
-      comment.eligible =
-          ccol >= 0 &&
-          SkipSpaces(line, static_cast<size_t>(ccol) + 2) == pos;
-      std::vector<std::string> rules;
-      if (after < line.size() && line[after] == '(') {
-        const size_t close = line.find(')', after);
-        const std::string cats =
-            close == std::string::npos
-                ? line.substr(after + 1)
-                : line.substr(after + 1, close - after - 1);
-        for (const std::string& cat : StrSplit(cats, ',')) {
-          const std::string c = Trim(cat);
-          if (c.rfind("sgcl-", 0) == 0) rules.push_back(c);
-        }
-        if (rules.empty()) comment.eligible = false;  // not our categories
-        for (size_t r = 0; r < rules.size(); ++r) {
-          comment.rules += (r > 0 ? ", " : "") + rules[r];
-        }
-      } else {
-        // A bare directive must end the comment or carry a `: reason`;
-        // "NOLINT comments are consulted..." is prose, not a directive.
-        const bool word_end =
-            after >= line.size() ||
-            (!std::isalnum(static_cast<unsigned char>(line[after])) &&
-             line[after] != '_');
-        const size_t next = SkipSpaces(line, after);
-        const bool terminated = next >= line.size() || line[next] == ':';
-        if (!word_end || !terminated) {
-          pos = after;
-          continue;
-        }
-        rules.push_back("*");
-        comment.rules = "*";
+  for (const std::vector<Token>* list : {&tokens, &aside}) {
+    for (const Token& t : *list) {
+      if ((t.kind != TokenKind::kComment && t.kind != TokenKind::kString &&
+           t.kind != TokenKind::kChar) ||
+          t.text.find("NOLINT") == std::string::npos) {
+        continue;
       }
-      const int ci = static_cast<int>(out.comments.size());
-      out.comments.push_back(comment);
-      if (target < raw.size()) {
-        for (const std::string& r : rules) {
-          out.by_line[target].push_back({ci, r});
-        }
+      const std::vector<std::string> parts = StrSplit(t.text, '\n');
+      for (size_t k = 0; k < parts.size(); ++k) {
+        ParseNolints(parts[k], t.line + static_cast<int>(k),
+                     k == 0 && t.text.rfind("//", 0) == 0, &out);
       }
-      pos = after;
     }
   }
   return out;
@@ -300,39 +194,37 @@ const char* const kStatementKeywords[] = {
     "co_return", "static_assert", "sizeof",
 };
 
-// If `trimmed` is a bare expression-statement call `a.b.c(...);`,
-// returns the final callee identifier; otherwise "".
-std::string BareCallCallee(const std::string& trimmed) {
-  if (trimmed.empty() || trimmed.back() != ';') return "";
-  if (trimmed.find('=') != std::string::npos) return "";
-  for (const char* kw : kStatementKeywords) {
-    if (TokenAt(trimmed, 0, kw)) return "";
+// If the line `t` is a bare expression-statement call `a.b->c(...);`,
+// spelled without spaces up to the '(' and before the ';', returns the
+// final callee identifier; otherwise "".
+std::string BareCallCallee(const std::vector<Token>& t) {
+  if (t.size() < 4 || t.back().text != ";") return "";
+  for (const Token& tok : t) {
+    if (tok.text.find('=') != std::string::npos) return "";
   }
-  size_t i = 0;
-  std::string last;
+  for (const char* kw : kStatementKeywords) {
+    if (t[0].text == kw) return "";
+  }
+  size_t k = 0;
   for (;;) {
-    if (i >= trimmed.size() || !IsIdentStart(trimmed[i])) return "";
-    const size_t begin = i;
-    while (i < trimmed.size() && IsIdentChar(trimmed[i])) ++i;
-    last = trimmed.substr(begin, i - begin);
-    if (i + 1 < trimmed.size() && trimmed[i] == ':' && trimmed[i + 1] == ':') {
-      i += 2;
-      continue;
+    if (t[k].kind != TokenKind::kIdentifier ||
+        (k > 0 && !Adjacent(t[k - 1], t[k]))) {
+      return "";
     }
-    if (i < trimmed.size() && trimmed[i] == '.') {
-      i += 1;
-      continue;
-    }
-    if (i + 1 < trimmed.size() && trimmed[i] == '-' && trimmed[i + 1] == '>') {
-      i += 2;
+    ++k;
+    const std::string& sep = t[k].text;
+    if ((sep == "::" || sep == "." || sep == "->") &&
+        Adjacent(t[k - 1], t[k])) {
+      ++k;
       continue;
     }
     break;
   }
-  if (i >= trimmed.size() || trimmed[i] != '(') return "";
+  if (t[k].text != "(" || !Adjacent(t[k - 1], t[k])) return "";
   // The statement must be nothing but this call: `callee(...);`.
-  if (trimmed.rfind(");") != trimmed.size() - 2) return "";
-  return last;
+  const Token& close = t[t.size() - 2];
+  if (close.text != ")" || !Adjacent(close, t.back())) return "";
+  return t[k - 1].text;
 }
 
 // ---- sgcl-R3 helpers -------------------------------------------------
@@ -350,38 +242,48 @@ const char* const kMutatingMethods[] = {
     "Submit",    "Set",
 };
 
+// The tokens inside the first parenthesized group after lines[li][k],
+// searched over at most 30 lines. False when it does not close there.
+bool MacroArgument(const CodeLineTokens& lines, size_t li, size_t k,
+                   std::vector<Token>* arg) {
+  int depth = 0;
+  for (size_t lj = li; lj < lines.size() && lj < li + 30; ++lj) {
+    for (size_t m = lj == li ? k + 1 : 0; m < lines[lj].size(); ++m) {
+      const Token& t = lines[lj][m];
+      if (t.text == "(" && ++depth == 1) continue;
+      if (t.text == ")" && --depth == 0) return true;
+      if (depth >= 1) arg->push_back(t);
+    }
+  }
+  return false;
+}
+
 // Scans a check-macro argument for side-effect constructs. Returns a
 // description of the first one found, or "".
-std::string FindSideEffect(const std::string& arg) {
-  for (size_t i = 0; i + 1 < arg.size(); ++i) {
-    if ((arg[i] == '+' && arg[i + 1] == '+') ||
-        (arg[i] == '-' && arg[i + 1] == '-')) {
-      return "increment/decrement";
-    }
+std::string FindSideEffect(const std::vector<Token>& arg) {
+  for (const Token& t : arg) {
+    if (t.text == "++" || t.text == "--") return "increment/decrement";
   }
-  for (size_t i = 0; i < arg.size(); ++i) {
-    if (arg[i] != '=') continue;
-    if (i + 1 < arg.size() && arg[i + 1] == '=') continue;  // ==
-    const char prev = i > 0 ? arg[i - 1] : '\0';
-    if (prev == '=' || prev == '!') continue;  // ==, !=
-    if (prev == '<' || prev == '>') {
-      // <= / >= are comparisons, <<= / >>= are assignments.
-      const char prev2 = i > 1 ? arg[i - 2] : '\0';
-      if (prev2 != prev) continue;
+  for (size_t k = 0; k < arg.size(); ++k) {
+    const std::string& s = arg[k].text;
+    if (s == "=") return "assignment";
+    // <<= and >>= lex as "<" "<=" and ">" ">=".
+    if ((s == "<=" || s == ">=") && k > 0 && arg[k - 1].text[0] == s[0] &&
+        arg[k - 1].text.size() == 1 && Adjacent(arg[k - 1], arg[k])) {
       return "compound assignment";
     }
-    if (prev == '+' || prev == '-' || prev == '*' || prev == '/' ||
-        prev == '%' || prev == '&' || prev == '|' || prev == '^') {
+    if (s.size() == 2 && s[1] == '=' &&
+        std::string("+-*/%&|^").find(s[0]) != std::string::npos) {
       return "compound assignment";
     }
-    return "assignment";
   }
   for (const char* method : kMutatingMethods) {
-    const std::string dot = std::string(".") + method + "(";
-    const std::string arrow = std::string("->") + method + "(";
-    if (arg.find(dot) != std::string::npos ||
-        arg.find(arrow) != std::string::npos) {
-      return StrFormat("call to mutating method '%s'", method);
+    for (size_t k = 0; k + 2 < arg.size(); ++k) {
+      if ((arg[k].text == "." || arg[k].text == "->") &&
+          arg[k + 1].text == method && arg[k + 2].text == "(" &&
+          Adjacent(arg[k], arg[k + 1]) && Adjacent(arg[k + 1], arg[k + 2])) {
+        return StrFormat("call to mutating method '%s'", method);
+      }
     }
   }
   return "";
@@ -394,11 +296,41 @@ std::string RuleMessageR2(const std::string& what) {
       what.c_str());
 }
 
-// ---- line pass (sgcl-R1..R7), pre-suppression ------------------------
+// ---- sgcl-R4 helpers -------------------------------------------------
 
-void LineRuleFindings(const std::string& path,
-                      const std::vector<std::string>& raw,
-                      const std::vector<std::string>& scrubbed,
+// Edits renaming each whole-word `actual` on a '#' line to `expected`:
+// in the directive's tokens and in the comments and literals beside
+// them, such as the `#endif  // GUARD` trailer. `aside` holds all of
+// those (internal::Lex).
+std::vector<FixEdit> GuardRenames(const CodeLineTokens& lines,
+                                  const std::vector<Token>& aside,
+                                  const std::string& actual,
+                                  const std::string& expected) {
+  std::vector<FixEdit> edits;
+  for (const Token& t : aside) {
+    const size_t li = static_cast<size_t>(t.line - 1);
+    if (li >= lines.size() || lines[li].empty() || lines[li][0].text != "#") {
+      continue;
+    }
+    const std::string text = t.text.substr(0, t.text.find('\n'));
+    for (size_t pos = 0; (pos = text.find(actual, pos)) != std::string::npos;
+         pos += actual.size()) {
+      const size_t end = pos + actual.size();
+      if ((pos > 0 && IsIdentChar(text[pos - 1])) ||
+          (end < text.size() && IsIdentChar(text[end]))) {
+        continue;
+      }
+      edits.push_back({t.line, t.col + static_cast<int>(pos),
+                       static_cast<int>(actual.size()), expected});
+    }
+  }
+  return edits;
+}
+
+// ---- rules sgcl-R1..R7, pre-suppression ------------------------------
+
+void LineRuleFindings(const std::string& path, const CodeLineTokens& lines,
+                      const std::vector<Token>& aside,
                       const std::vector<std::string>& fallible_names,
                       std::vector<Finding>* out) {
   const bool is_header =
@@ -416,8 +348,6 @@ void LineRuleFindings(const std::string& path,
     return &out->back();
   };
 
-  const std::set<std::string> fallible(fallible_names.begin(),
-                                       fallible_names.end());
   const bool rng_impl = path.rfind("src/common/rng.", 0) == 0;
   // R6 scope: production checkpoint-path sources. Tests are exempt —
   // corruption tests write torn files on purpose.
@@ -430,191 +360,132 @@ void LineRuleFindings(const std::string& path,
   // are out of scope by construction.
   const bool serve_path = path.rfind("src/serve/", 0) == 0;
 
-  for (size_t li = 0; li < scrubbed.size(); ++li) {
-    const std::string& line = scrubbed[li];
+  // R1 counts only statement-start lines: a line continuing `x =` /
+  // `return` from above is part of that statement, not a discarded call.
+  bool statement_start = true;
+  for (size_t li = 0; li < lines.size(); ++li) {
+    const std::vector<Token>& t = lines[li];
+    if (t.empty()) continue;
 
-    // R1: discarded fallible call. Only statement-start lines count: a
-    // line continuing `x =` / `return` from above is part of that
-    // statement, not a discarded call.
-    bool statement_start = true;
-    for (size_t pj = li; pj > 0; --pj) {
-      const std::string prev = Trim(scrubbed[pj - 1]);
-      if (prev.empty()) continue;
-      statement_start = prev.back() == ';' || prev.back() == '{' ||
-                        prev.back() == '}' || prev.back() == ':' ||
-                        prev[0] == '#';
-      break;
-    }
-    const std::string trimmed = Trim(line);
+    // R1: discarded fallible call.
     const std::string callee =
-        statement_start ? BareCallCallee(trimmed) : std::string();
+        statement_start ? BareCallCallee(t) : std::string();
     if (!callee.empty() && !IsMacroName(callee) &&
-        fallible.count(callee) != 0) {
+        std::binary_search(fallible_names.begin(), fallible_names.end(),
+                           callee)) {
       emit(li, "sgcl-R1", Severity::kWarning,
            StrFormat("result of fallible call '%s' is discarded; bind it, "
                      "return it, or wrap it in a check macro",
                      callee.c_str()));
     }
+    const char last = t.back().text.back();
+    statement_start = last == ';' || last == '{' || last == '}' ||
+                      last == ':' || t[0].text == "#";
 
-    // R2: nondeterminism sources.
-    if (!rng_impl) {
-      for (size_t i = 0; i < line.size(); ++i) {
-        if (TokenAt(line, i, "rand") || TokenAt(line, i, "srand")) {
-          const size_t len = line[i] == 's' ? 5 : 4;
-          if (SkipSpaces(line, i + len) < line.size() &&
-              line[SkipSpaces(line, i + len)] == '(') {
-            emit(li, "sgcl-R2", Severity::kError,
-                 RuleMessageR2(line[i] == 's' ? "srand()" : "rand()"));
-          }
-        } else if (TokenAt(line, i, "random_device")) {
+    for (size_t k = 0; k < t.size(); ++k) {
+      if (t[k].kind != TokenKind::kIdentifier) continue;
+      const std::string& s = t[k].text;
+      const Token* next = k + 1 < t.size() ? &t[k + 1] : nullptr;
+      const Token* prev = k > 0 ? &t[k - 1] : nullptr;
+
+      // R2: nondeterminism sources.
+      if (!rng_impl) {
+        if ((s == "rand" || s == "srand") && next != nullptr &&
+            next->text == "(") {
+          emit(li, "sgcl-R2", Severity::kError,
+               RuleMessageR2(s == "srand" ? "srand()" : "rand()"));
+        } else if (s == "random_device") {
           emit(li, "sgcl-R2", Severity::kError,
                RuleMessageR2("std::random_device"));
-        } else if (TokenAt(line, i, "system_clock")) {
+        } else if (s == "system_clock") {
           emit(li, "sgcl-R2", Severity::kError,
                RuleMessageR2("std::chrono::system_clock"));
-        } else if (TokenAt(line, i, "time")) {
-          size_t j = SkipSpaces(line, i + 4);
-          if (j < line.size() && line[j] == '(') {
-            j = SkipSpaces(line, j + 1);
-            if (TokenAt(line, j, "nullptr") || TokenAt(line, j, "NULL") ||
-                (j < line.size() && line[j] == '0')) {
-              emit(li, "sgcl-R2", Severity::kError,
-                   RuleMessageR2("time(nullptr)-style seeding"));
-            }
-          }
+        } else if (s == "time" && next != nullptr && next->text == "(" &&
+                   k + 2 < t.size() &&
+                   (t[k + 2].text == "nullptr" || t[k + 2].text == "NULL" ||
+                    t[k + 2].text[0] == '0')) {
+          emit(li, "sgcl-R2", Severity::kError,
+               RuleMessageR2("time(nullptr)-style seeding"));
         }
       }
-    }
 
-    // R3: side effects inside check macros (argument may span lines).
-    for (size_t i = 0; i < line.size(); ++i) {
-      const char* matched = nullptr;
-      for (const char* macro : kCheckMacros) {
-        if (TokenAt(line, i, macro)) {
-          matched = macro;
-          break;
-        }
-      }
-      if (matched == nullptr) continue;
-      // Skip the macro's own #define in check.h.
-      if (Trim(line).rfind("#define", 0) == 0) break;
-      size_t pos = i + std::string(matched).size();
-      std::string arg;
-      int depth = 0;
-      size_t lj = li;
-      bool done = false;
-      while (lj < scrubbed.size() && lj < li + 30 && !done) {
-        const std::string& cur = scrubbed[lj];
-        size_t start = lj == li ? pos : 0;
-        for (size_t k = start; k < cur.size(); ++k) {
-          if (cur[k] == '(') {
-            ++depth;
-            if (depth == 1) continue;
+      // R3: side effects inside check macros (argument may span lines).
+      // The macros' own #define lines in check.h are skipped.
+      if (std::find(std::begin(kCheckMacros), std::end(kCheckMacros), s) !=
+              std::end(kCheckMacros) &&
+          !IsDirectiveLine(t, "define")) {
+        std::vector<Token> arg;
+        if (MacroArgument(lines, li, k, &arg)) {
+          const std::string effect = FindSideEffect(arg);
+          if (!effect.empty()) {
+            emit(li, "sgcl-R3", Severity::kError,
+                 StrFormat("%s inside %s: checks must be side-effect free "
+                           "(they compile out or abort)",
+                           effect.c_str(), s.c_str()));
           }
-          if (cur[k] == ')') {
-            --depth;
-            if (depth == 0) {
-              done = true;
-              break;
-            }
-          }
-          if (depth >= 1) arg += cur[k];
-        }
-        arg += ' ';
-        ++lj;
-      }
-      if (done) {
-        const std::string effect = FindSideEffect(arg);
-        if (!effect.empty()) {
-          emit(li, "sgcl-R3", Severity::kError,
-               StrFormat("%s inside %s: checks must be side-effect free "
-                         "(they compile out or abort)",
-                         effect.c_str(), matched));
         }
       }
-      i += std::string(matched).size() - 1;
+
+      // R4b: using namespace in headers.
+      if (is_header && s == "using" && next != nullptr &&
+          next->text == "namespace") {
+        emit(li, "sgcl-R4", Severity::kError,
+             "'using namespace' in a header leaks into every includer");
+      }
+
+      // R5: naked new / delete. `operator new` declarations and
+      // `= delete` functions are not allocations.
+      if (s == "new" && next != nullptr &&
+          (next->kind == TokenKind::kIdentifier || next->text == "(") &&
+          !(prev != nullptr && prev->text.size() >= 8 &&
+            prev->text.compare(prev->text.size() - 8, 8, "operator") == 0)) {
+        emit(li, "sgcl-R5", Severity::kError,
+             "naked 'new': use make_unique/containers, or suppress for "
+             "intentionally leaked singletons");
+      } else if (s == "delete" &&
+                 !(prev != nullptr && prev->text.back() == '=')) {
+        size_t j = k + 1;
+        if (j + 1 < t.size() && t[j].text == "[" && t[j + 1].text == "]" &&
+            Adjacent(t[j], t[j + 1])) {
+          j += 2;
+        }
+        if (j < t.size() && (t[j].kind == TokenKind::kIdentifier ||
+                             t[j].text[0] == '*' || t[j].text == "(")) {
+          emit(li, "sgcl-R5", Severity::kError,
+               "naked 'delete': owning pointers belong in unique_ptr");
+        }
+      }
     }
 
     // R6: raw file-writing primitives in checkpoint-path sources.
+    // R7: blocking file I/O or checkpoint/dataset loading in src/serve/.
+    const auto has = [&](const char* name) {
+      return std::any_of(t.begin(), t.end(),
+                         [&](const Token& tok) { return tok.text == name; });
+    };
     if (checkpoint_path) {
       for (const char* prim : {"ofstream", "fopen", "fwrite"}) {
-        for (size_t i = 0; i < line.size(); ++i) {
-          if (TokenAt(line, i, prim)) {
-            emit(li, "sgcl-R6", Severity::kError,
-                 StrFormat("raw '%s' in a checkpoint path bypasses the "
-                           "atomic-write API; persist through "
-                           "AtomicWriteFile (common/io.h) so a crash can "
-                           "never publish a torn checkpoint",
-                           prim));
-            break;
-          }
-        }
+        if (!has(prim)) continue;
+        emit(li, "sgcl-R6", Severity::kError,
+             StrFormat("raw '%s' in a checkpoint path bypasses the "
+                       "atomic-write API; persist through "
+                       "AtomicWriteFile (common/io.h) so a crash can "
+                       "never publish a torn checkpoint",
+                       prim));
       }
     }
-
-    // R7: blocking file I/O or checkpoint/dataset loading in src/serve/.
     if (serve_path) {
       for (const char* prim :
            {"ofstream", "ifstream", "fstream", "fopen", "fread", "fwrite",
             "LoadCheckpoint", "LoadTrainCheckpoint", "LoadDataset",
             "ParseJsonFile", "AtomicWriteFile", "ReadFileToString"}) {
-        for (size_t i = 0; i < line.size(); ++i) {
-          if (TokenAt(line, i, prim)) {
-            emit(li, "sgcl-R7", Severity::kError,
-                 StrFormat("'%s' in the serving layer: src/serve/ must not "
-                           "touch the filesystem — load checkpoints and "
-                           "datasets in the CLI before ServeService::Start "
-                           "so request handlers never block on disk",
-                           prim));
-            break;
-          }
-        }
-      }
-    }
-
-    // R4b: using namespace in headers.
-    if (is_header) {
-      for (size_t i = 0; i < line.size(); ++i) {
-        if (TokenAt(line, i, "using")) {
-          const size_t j = SkipSpaces(line, i + 5);
-          if (TokenAt(line, j, "namespace")) {
-            emit(li, "sgcl-R4", Severity::kError,
-                 "'using namespace' in a header leaks into every includer");
-          }
-        }
-      }
-    }
-
-    // R5: naked new / delete.
-    for (size_t i = 0; i < line.size(); ++i) {
-      if (TokenAt(line, i, "new")) {
-        const size_t j = SkipSpaces(line, i + 3);
-        const bool allocates =
-            j < line.size() && (IsIdentStart(line[j]) || line[j] == '(');
-        // `operator new` declarations are not allocations.
-        const std::string before = Trim(line.substr(0, i));
-        const bool is_operator_decl =
-            before.size() >= 8 &&
-            before.compare(before.size() - 8, 8, "operator") == 0;
-        if (allocates && !is_operator_decl) {
-          emit(li, "sgcl-R5", Severity::kError,
-               "naked 'new': use make_unique/containers, or suppress for "
-               "intentionally leaked singletons");
-        }
-      } else if (TokenAt(line, i, "delete")) {
-        size_t j = SkipSpaces(line, i + 6);
-        if (j + 1 < line.size() && line[j] == '[' && line[j + 1] == ']') {
-          j = SkipSpaces(line, j + 2);
-        }
-        const bool deletes =
-            j < line.size() && (IsIdentStart(line[j]) || line[j] == '*' ||
-                                line[j] == '(');
-        const std::string before = Trim(line.substr(0, i));
-        const bool deleted_fn = !before.empty() && before.back() == '=';
-        if (deletes && !deleted_fn) {
-          emit(li, "sgcl-R5", Severity::kError,
-               "naked 'delete': owning pointers belong in unique_ptr");
-        }
+        if (!has(prim)) continue;
+        emit(li, "sgcl-R7", Severity::kError,
+             StrFormat("'%s' in the serving layer: src/serve/ must not "
+                       "touch the filesystem — load checkpoints and "
+                       "datasets in the CLI before ServeService::Start "
+                       "so request handlers never block on disk",
+                       prim));
       }
     }
   }
@@ -624,66 +495,45 @@ void LineRuleFindings(const std::string& path,
   // actual guard (#ifndef, #define, and the #endif trailer).
   if (is_header) {
     const std::string expected = ExpectedIncludeGuard(path);
-    size_t guard_line = std::string::npos;
-    std::string actual;
-    for (size_t li = 0; li < scrubbed.size(); ++li) {
-      const std::string t = Trim(scrubbed[li]);
-      if (t.rfind("#ifndef", 0) == 0) {
-        actual = Trim(t.substr(7));
-        guard_line = li;
-        break;
-      }
+    size_t guard_line = 0;
+    while (guard_line < lines.size() &&
+           !IsDirectiveLine(lines[guard_line], "ifndef")) {
+      ++guard_line;
     }
-    if (guard_line == std::string::npos) {
+    if (guard_line == lines.size()) {
       emit(0, "sgcl-R4", Severity::kError,
            StrFormat("missing include guard (expected #ifndef %s)",
                      expected.c_str()));
-    } else if (actual != expected) {
+      return;
+    }
+    const std::string actual = Spell(lines[guard_line], 2);
+    if (actual != expected) {
       Finding* f = emit(
           guard_line, "sgcl-R4", Severity::kError,
           StrFormat("include guard '%s' does not match path (expected %s)",
                     actual.c_str(), expected.c_str()));
       if (!actual.empty()) {
-        for (size_t li = 0; li < raw.size(); ++li) {
-          if (Trim(scrubbed[li]).rfind("#", 0) != 0) continue;
-          for (size_t pos = 0; (pos = raw[li].find(actual, pos)) !=
-                               std::string::npos;
-               pos += actual.size()) {
-            if (!TokenAt(raw[li], pos, actual)) continue;
-            f->fixes.push_back({static_cast<int>(li + 1),
-                                static_cast<int>(pos),
-                                static_cast<int>(actual.size()), expected});
-          }
-        }
+        f->fixes = GuardRenames(lines, aside, actual, expected);
       }
-    } else {
-      // The matching #define must follow.
-      bool defined = false;
-      size_t define_line = std::string::npos;
-      std::string define_name;
-      for (size_t li = guard_line + 1; li < scrubbed.size(); ++li) {
-        const std::string t = Trim(scrubbed[li]);
-        if (t.rfind("#define", 0) == 0) {
-          define_name = Trim(t.substr(7));
-          define_line = li;
-          defined = define_name == expected;
-          break;
-        }
-      }
-      if (!defined) {
-        Finding* f = emit(
-            guard_line, "sgcl-R4", Severity::kError,
-            StrFormat("#ifndef %s is not followed by a matching #define",
-                      expected.c_str()));
-        if (define_line != std::string::npos && !define_name.empty()) {
-          const size_t pos = raw[define_line].find(define_name);
-          if (pos != std::string::npos) {
-            f->fixes.push_back({static_cast<int>(define_line + 1),
-                                static_cast<int>(pos),
-                                static_cast<int>(define_name.size()),
-                                expected});
-          }
-        }
+      return;
+    }
+    // The matching #define must follow.
+    size_t define_line = guard_line + 1;
+    while (define_line < lines.size() &&
+           !IsDirectiveLine(lines[define_line], "define")) {
+      ++define_line;
+    }
+    const std::string define_name =
+        define_line < lines.size() ? Spell(lines[define_line], 2) : "";
+    if (define_name != expected) {
+      Finding* f = emit(
+          guard_line, "sgcl-R4", Severity::kError,
+          StrFormat("#ifndef %s is not followed by a matching #define",
+                    expected.c_str()));
+      if (!define_name.empty()) {
+        f->fixes.push_back({static_cast<int>(define_line + 1),
+                            lines[define_line][2].col,
+                            static_cast<int>(define_name.size()), expected});
       }
     }
   }
@@ -763,15 +613,14 @@ Result<LintOptions> LoadAllowlist(const std::string& path) {
 FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
                          const GlobalTables& tables,
                          const LintOptions& options) {
-  std::vector<std::string> raw, scrubbed;
-  std::vector<int> comment_cols;
-  internal::ScrubLines(content, &raw, &scrubbed, &comment_cols);
-  Suppressions sup = ParseSuppressions(raw, comment_cols);
+  std::vector<Token> aside;
+  const std::vector<Token> tokens = internal::Lex(content, &aside);
+  Suppressions sup = ParseSuppressions(tokens, aside);
 
   std::vector<Finding> candidates;
-  LineRuleFindings(path, raw, scrubbed, tables.fallible_names, &candidates);
-  internal::FlowResult flow =
-      internal::RunFlowPass(path, Tokenize(content), tables);
+  LineRuleFindings(path, internal::CodeLines(tokens, aside), aside,
+                   tables.fallible_names, &candidates);
+  internal::FlowResult flow = internal::RunFlowPass(path, tokens, tables);
   for (Finding& f : flow.findings) candidates.push_back(std::move(f));
 
   FileAnalysis out;
@@ -779,12 +628,11 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
   // NOLINT comments are consulted before the allowlist, so an inline
   // suppression always counts as "used" even when an allowlist entry
   // would also cover the finding.
-  const auto comment_suppressed = [&](int line_1based,
-                                      const std::string& rule) {
-    const size_t idx = static_cast<size_t>(line_1based - 1);
-    if (line_1based <= 0 || idx >= sup.by_line.size()) return false;
+  const auto comment_suppressed = [&](int line, const std::string& rule) {
+    const auto it = sup.by_line.find(line);
+    if (it == sup.by_line.end()) return false;
     bool any = false;
-    for (const auto& [ci, r] : sup.by_line[idx]) {
+    for (const auto& [ci, r] : it->second) {
       if (r == "*" || r == rule) {
         sup.comments[ci].used = true;
         any = true;
@@ -815,7 +663,7 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
   if (options.report_stale_nolint) {
     for (const NolintComment& c : sup.comments) {
       if (c.eligible && !c.used) {
-        out.stale_nolints.push_back({c.line_idx + 1, c.rules});
+        out.stale_nolints.push_back({c.line, c.rules});
       }
     }
   }

@@ -1,10 +1,10 @@
 // sgcl_lint: in-repo static analyzer enforcing project invariants that
-// the compiler cannot (fully) check. Two passes share one engine
-// (DESIGN.md §9): a line pass over comment/string-scrubbed lines for
-// the classic rules R1-R7, and a flow pass over a real token stream
-// with scope tracking and a per-function symbol table for the
-// thread-safety rules R8-R10, which understand the capability
-// annotations in common/thread_annotations.h.
+// the compiler cannot (fully) check. One lexer feeds all ten rules
+// (DESIGN.md §9): the classic rules R1-R7 read its code tokens line by
+// line, the NOLINT parser reads its comments, and a flow pass with
+// scope tracking and a per-function symbol table walks the same token
+// stream for the thread-safety rules R8-R10, which understand the
+// capability annotations in common/thread_annotations.h.
 //
 // Rules:
 //   sgcl-R1  no discarded fallible call: a statement that calls a
@@ -82,7 +82,7 @@ namespace sgcl::lint {
 
 // Bumped whenever a rule's behavior changes; part of the incremental
 // cache key so stale caches self-invalidate.
-inline constexpr int kEngineVersion = 2;
+inline constexpr int kEngineVersion = 3;
 
 enum class Severity { kWarning, kError };
 
@@ -133,7 +133,7 @@ struct LintOptions {
 // comment is mandatory so every exemption is documented.
 Result<LintOptions> LoadAllowlist(const std::string& path);
 
-// ---- Tokenizer (flow pass, exposed for tests) ------------------------
+// ---- Tokenizer (exposed for tests) -----------------------------------
 
 enum class TokenKind {
   kIdentifier,  // identifiers and keywords
@@ -142,6 +142,7 @@ enum class TokenKind {
   kChar,        // character literal
   kPunct,       // operator/punctuator ("::", "->", single chars, ...)
   kDirective,   // one whole preprocessor line ("#include <x>", ...)
+  kComment,     // `//` or `/* */` comment; never in Tokenize's output
 };
 
 struct Token {
@@ -154,11 +155,11 @@ struct Token {
 // Lexes C++ source: comments are skipped; string/char literals
 // (including raw strings and encoding prefixes) become single tokens; a
 // preprocessor directive (with backslash continuations) becomes one
-// kDirective token. Never fails: unexpected bytes lex as one-char
-// kPunct tokens.
+// kDirective token whose text stops before a trailing comment. Never
+// fails: unexpected bytes lex as one-char kPunct tokens.
 std::vector<Token> Tokenize(const std::string& content);
 
-// ---- Declaration tables (flow pass, phase 1) -------------------------
+// ---- Declaration tables (phase 1) ------------------------------------
 
 // Per-file declarations the flow rules need repo-wide: annotated
 // guarded members, SGCL_REQUIRES methods, and mutex/atomic members per
@@ -226,7 +227,7 @@ struct FileAnalysis {
   std::vector<std::pair<std::string, std::string>> used_allow;
 };
 
-// Runs both passes over one file. `tables` carries the repo-wide
+// Lexes one file once and runs every rule over it. `tables` carries the repo-wide
 // declarations (BuildTables over every file's ExtractDecls). Thread
 // safe and deterministic: analyzing files concurrently and merging in
 // path order reproduces the serial result.

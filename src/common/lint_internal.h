@@ -1,11 +1,10 @@
 // Internals shared between the lint engine's two translation units:
-// lint.cc (line pass, suppressions, orchestration) and lint_flow.cc
-// (tokenizer, declaration tables, flow pass). Not part of the public
+// lint.cc (rules R1-R7, suppressions, orchestration) and lint_flow.cc
+// (the lexer, declaration tables, flow pass). Not part of the public
 // API — include common/lint.h instead.
 #ifndef SGCL_COMMON_LINT_INTERNAL_H_
 #define SGCL_COMMON_LINT_INTERNAL_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -13,23 +12,30 @@
 
 namespace sgcl::lint::internal {
 
-// Splits `content` into lines and blanks out comments, string literals
-// (including raw strings), and char literals, preserving line structure
-// and length so column-free line reporting stays accurate. `raw` gets
-// the untouched lines (NOLINT directives live inside comments).
-// `comment_cols`, when non-null, receives per line the column where a
-// trailing // comment starts, or -1 when the line has none — the
-// stale-NOLINT check uses it to tell a real suppression comment from
-// prose that merely mentions NOLINT.
-void ScrubLines(const std::string& content, std::vector<std::string>* raw,
-                std::vector<std::string>* scrubbed,
-                std::vector<int>* comment_cols);
+bool IsIdentChar(char c);
 
-// Collects names of functions declared to return Status or Result<...>
-// on one (scrubbed) line. Line-local by design: a declaration whose
-// template arguments span lines is skipped (documented limitation).
-void CollectFallibleNames(const std::string& scrubbed_line,
-                          std::set<std::string>* names);
+// The engine's one lexer. Returns Tokenize's stream; when `aside` is
+// non-null it also receives, in source order, what that stream leaves
+// out: every comment (kind kComment) and the tokens of each directive's
+// text ('#' first, a backslash continuation as a "\" token). A
+// kDirective token's text runs from '#' to the end of its last token,
+// so a trailing `//` comment is not part of it.
+std::vector<Token> Lex(const std::string& content, std::vector<Token>* aside);
+
+// The code tokens of one Lex call grouped by 0-based line: identifiers,
+// numbers and punctuators, directive bodies included; literals,
+// comments and kDirective tokens left out. This is what R1-R7 and the
+// fallible-name table read, each line holding what a reader sees there
+// once comments and literals are blanked.
+using CodeLineTokens = std::vector<std::vector<Token>>;
+CodeLineTokens CodeLines(const std::vector<Token>& tokens,
+                         const std::vector<Token>& aside);
+
+// Names of functions declared to return Status or Result<...>. Only a
+// declaration whose return type and `name(` share one line counts: a
+// Result<...> that closes on a later line is skipped (documented
+// limitation). Sorted, unique.
+std::vector<std::string> FallibleNames(const CodeLineTokens& lines);
 
 // Pre-suppression output of the flow pass over one file.
 struct FlowResult {

@@ -90,6 +90,23 @@ TEST(TokenizerTest, DirectivesAreSingleTokens) {
   EXPECT_EQ(toks[2].line, 4);
 }
 
+TEST(TokenizerTest, DirectiveTextStopsBeforeTrailingComment) {
+  const std::vector<Token> toks =
+      Tokenize("#endif  // GUARD_H_\nint x;\n");
+  ASSERT_EQ(toks.size(), 4u);
+  EXPECT_EQ(toks[0].text, "#endif");
+  EXPECT_EQ(toks[1].text, "int");
+}
+
+TEST(TokenizerTest, UnterminatedLiteralEndsWithItsLine) {
+  const std::vector<Token> toks = Tokenize("s = \"open;\nint y;\n");
+  ASSERT_EQ(toks.size(), 6u);
+  EXPECT_EQ(toks[2].kind, TokenKind::kString);
+  EXPECT_EQ(toks[2].text, "\"open;");
+  EXPECT_EQ(toks[3].text, "int");
+  EXPECT_EQ(toks[3].line, 2);
+}
+
 TEST(TokenizerTest, NumbersWithSeparatorsAndSuffixes) {
   const std::vector<Token> toks = Tokenize("x = 1'000'000; y = 0xFFull;");
   EXPECT_EQ(toks[2].kind, TokenKind::kNumber);
