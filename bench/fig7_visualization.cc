@@ -16,8 +16,8 @@
 #include "data/superpixel.h"
 #include "eval/metrics.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 
@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   BaselineConfig rgcl_cfg = ScaledBaselineConfig(digits.feat_dim(), scale, 3);
   rgcl_cfg.epochs = sgcl_cfg.epochs;
   LearnableViewBaseline rgcl(rgcl_cfg, ViewGenVariant::kRgcl);
+  // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
   rgcl.Pretrain(digits, {});
 
   std::printf(

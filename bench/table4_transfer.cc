@@ -13,8 +13,8 @@
 #include "eval/table.h"
 #include "graph/splits.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
       // copy of the pretrained encoder.
       std::unique_ptr<Pretrainer> pre =
           MakeMethod(method, kMoleculeFeatDim, scale, seed);
+      // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
       pre->Pretrain(zinc, {});
       const GnnEncoder& pretrained = *pre->mutable_encoder();
       for (size_t t = 0; t < tasks.size(); ++t) {

@@ -12,8 +12,8 @@
 #include "eval/table.h"
 #include "graph/splits.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
         const uint64_t seed = 3000ULL * (s + 1) + 41 * d;
         std::unique_ptr<Pretrainer> pre =
             MakeMethod(method, ds.feat_dim(), scale, seed);
+        // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
         pre->Pretrain(ds, {});
         const GnnEncoder& pretrained = *pre->mutable_encoder();
         for (size_t r = 0; r < label_rates.size(); ++r) {

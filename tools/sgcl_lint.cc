@@ -5,7 +5,8 @@
 //             [--fail-on=warning|error|none] [--jobs=N] [--cache=FILE]
 //             [--fix] [--report-stale-nolint]
 //
-// Walks src/, tests/, and tools/ under --root (default "."), lints every
+// Walks src/, tests/, tools/, bench/, and examples/ under --root
+// (default "."; perfbench/ belongs to the benchmark), lints every
 // .h/.cc file, prints a deterministic file-ordered text report, and —
 // when --json is given — writes the same findings as a JSON report (the
 // CI artifact). Exit status: 0 when no finding reaches the --fail-on
@@ -343,7 +344,7 @@ int Run(int argc, char** argv) {
   // Deterministic file order: collect, normalize to repo-relative
   // forward-slash paths, sort.
   std::vector<SourceFile> files;
-  for (const char* top : {"src", "tests", "tools"}) {
+  for (const char* top : {"src", "tests", "tools", "bench", "examples"}) {
     const fs::path dir = fs::path(root) / top;
     if (!fs::exists(dir)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(dir)) {
@@ -361,7 +362,9 @@ int Run(int argc, char** argv) {
               return a.rel < b.rel;
             });
   if (files.empty()) {
-    std::fprintf(stderr, "error: no .h/.cc files under %s/{src,tests,tools}\n",
+    std::fprintf(stderr,
+                 "error: no .h/.cc files under "
+                 "%s/{src,tests,tools,bench,examples}\n",
                  root.c_str());
     return 2;
   }
