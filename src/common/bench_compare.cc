@@ -122,4 +122,32 @@ int CountRegressions(const BenchComparison& comparison,
   return regressions;
 }
 
+Result<BenchHost> LoadBenchmarkHost(const std::string& path) {
+  SGCL_ASSIGN_OR_RETURN(const JsonValue root, ParseJsonFile(path));
+  BenchHost host;
+  const JsonValue* context = root.Find("context");
+  if (context == nullptr || !context->is_object()) return host;
+  if (context->Find("num_cpus") != nullptr) {
+    host.num_cpus = StrFormat("%g", context->GetDouble("num_cpus"));
+  }
+  host.build_type = context->GetString("library_build_type");
+  return host;
+}
+
+std::string HostMismatchWarning(const BenchHost& base,
+                                const BenchHost& current) {
+  std::string fields;
+  const auto compare = [&](const char* name, const std::string& a,
+                           const std::string& b) {
+    if (a.empty() || b.empty() || a == b) return;
+    fields += StrFormat("%s%s %s vs %s", fields.empty() ? "" : ", ", name,
+                        a.c_str(), b.c_str());
+  };
+  compare("num_cpus", base.num_cpus, current.num_cpus);
+  compare("library_build_type", base.build_type, current.build_type);
+  if (fields.empty()) return "";
+  return "warning: baseline and current ran on different hosts (" + fields +
+         "); deltas measure the hosts as much as the code";
+}
+
 }  // namespace sgcl

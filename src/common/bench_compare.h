@@ -55,6 +55,21 @@ std::string FormatComparison(const BenchComparison& comparison,
 // Count of matched benchmarks whose slowdown is >= threshold_pct.
 int CountRegressions(const BenchComparison& comparison, double threshold_pct);
 
+// The host fields of a result file's "context": num_cpus and
+// library_build_type, each "" when the file does not record it.
+struct BenchHost {
+  std::string num_cpus;
+  std::string build_type;
+};
+
+Result<BenchHost> LoadBenchmarkHost(const std::string& path);
+
+// One warning line naming both values of each host field that both
+// files record and that differs; "" when none does. Deltas between
+// different hosts measure the hosts as much as the code.
+std::string HostMismatchWarning(const BenchHost& base,
+                                const BenchHost& current);
+
 }  // namespace sgcl
 
 #endif  // SGCL_COMMON_BENCH_COMPARE_H_

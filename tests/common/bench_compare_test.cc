@@ -188,5 +188,29 @@ TEST_F(BenchCompareTest, LoadsCommittedBaseline) {
   GTEST_SKIP() << "BENCH_lipschitz.json not reachable from cwd";
 }
 
+TEST_F(BenchCompareTest, LoadsHostFromContext) {
+  const std::string path =
+      WriteBenchFile(Tmp("bench_host.json"), {Iteration("BM_X", 1.0)});
+  auto host = LoadBenchmarkHost(path);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  EXPECT_EQ(host->num_cpus, "1");
+  EXPECT_EQ(host->build_type, "");
+}
+
+TEST_F(BenchCompareTest, HostMismatchNamesBothValues) {
+  const BenchHost vm{"1", "debug"};
+  const BenchHost box{"4", "release"};
+  const std::string warning = HostMismatchWarning(vm, box);
+  EXPECT_NE(warning.find("num_cpus 1 vs 4"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("library_build_type debug vs release"),
+            std::string::npos)
+      << warning;
+  EXPECT_EQ(warning.find('\n'), std::string::npos);
+  // Same host, or a field only one file records: nothing to warn about.
+  EXPECT_EQ(HostMismatchWarning(vm, vm), "");
+  EXPECT_EQ(HostMismatchWarning(vm, BenchHost{}), "");
+  EXPECT_EQ(HostMismatchWarning(vm, BenchHost{"1", ""}), "");
+}
+
 }  // namespace
 }  // namespace sgcl

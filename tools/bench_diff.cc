@@ -10,7 +10,10 @@
 // prints the same table but always exits 0 (for informational CI steps
 // on noisy runners); --fail-on-missing additionally fails when a
 // baseline benchmark has no counterpart in the current file (renamed or
-// deleted benchmarks would otherwise dodge the gate).
+// deleted benchmarks would otherwise dodge the gate). When the two
+// files record different hosts (context num_cpus or library_build_type),
+// a warning naming both values goes to stderr; the exit status does not
+// change.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -73,6 +76,14 @@ int Run(int argc, char** argv) {
   if (!current.ok()) {
     std::fprintf(stderr, "error: %s\n", current.status().ToString().c_str());
     return 2;
+  }
+
+  auto base_host = LoadBenchmarkHost(files[0]);
+  auto current_host = LoadBenchmarkHost(files[1]);
+  if (base_host.ok() && current_host.ok()) {
+    const std::string warning =
+        HostMismatchWarning(*base_host, *current_host);
+    if (!warning.empty()) std::fprintf(stderr, "%s\n", warning.c_str());
   }
 
   const BenchComparison comparison = CompareBenchmarks(*base, *current);
