@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
           [&](uint64_t seed) -> std::unique_ptr<Pretrainer> {
             SgclConfig cfg = ScaledSgclConfig(mutag.feat_dim(), scale);
             cfg.lipschitz_mode = mode;
-            return std::make_unique<SgclPretrainer>(cfg, seed);
+            return std::make_unique<SgclTrainer>(cfg, seed);
           },
           mutag, proto);
       std::printf("  %-18s %.2f ± %.2f\n",
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
           [&](uint64_t seed) -> std::unique_ptr<Pretrainer> {
             SgclConfig cfg = ScaledSgclConfig(mutag.feat_dim(), scale);
             cfg.encoder.pooling = pooling;
-            return std::make_unique<SgclPretrainer>(cfg, seed);
+            return std::make_unique<SgclTrainer>(cfg, seed);
           },
           mutag, proto);
       std::printf("  %-5s %.2f ± %.2f\n", PoolingKindToString(pooling),

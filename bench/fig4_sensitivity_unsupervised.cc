@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
               SgclConfig cfg =
                   ScaledSgclConfig(data[d].feat_dim(), scale);
               sweep.apply(&cfg, v);
-              return std::make_unique<SgclPretrainer>(cfg, seed);
+              return std::make_unique<SgclTrainer>(cfg, seed);
             },
             data[d], proto);
         sum += acc.mean;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
           [&](uint64_t seed) -> std::unique_ptr<Pretrainer> {
             SgclConfig cfg = ScaledSgclConfig(data[d].feat_dim(), scale);
             cfg.encoder.arch = arch;
-            return std::make_unique<SgclPretrainer>(cfg, seed);
+            return std::make_unique<SgclTrainer>(cfg, seed);
           },
           data[d], proto);
       row.push_back(MeanStd{100.0 * acc.mean, 100.0 * acc.std});

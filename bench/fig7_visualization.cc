@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   BaselineConfig rgcl_cfg = ScaledBaselineConfig(digits.feat_dim(), scale, 3);
   rgcl_cfg.epochs = sgcl_cfg.epochs;
   LearnableViewBaseline rgcl(rgcl_cfg, ViewGenVariant::kRgcl);
-  // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
-  rgcl.Pretrain(digits, {});
+  const auto rgcl_pretrain = rgcl.Pretrain(digits);
+  SGCL_CHECK(rgcl_pretrain.ok());
 
   std::printf(
       "Figure 7 — per-node scores on MNIST-superpixel-like digits "

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
       // copy of the pretrained encoder.
       std::unique_ptr<Pretrainer> pre =
           MakeMethod(method, kMoleculeFeatDim, scale, seed);
-      // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
-      pre->Pretrain(zinc, {});
+      const auto pretrain = pre->Pretrain(zinc);
+      SGCL_CHECK(pretrain.ok());
       const GnnEncoder& pretrained = *pre->mutable_encoder();
       for (size_t t = 0; t < tasks.size(); ++t) {
         Rng rng(seed + 5 + 17 * t);

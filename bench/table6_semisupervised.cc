@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
         const uint64_t seed = 3000ULL * (s + 1) + 41 * d;
         std::unique_ptr<Pretrainer> pre =
             MakeMethod(method, ds.feat_dim(), scale, seed);
-        // NOLINTNEXTLINE(sgcl-R1): Pretrainer::Pretrain returns PretrainStats
-        pre->Pretrain(ds, {});
+        const auto pretrain = pre->Pretrain(ds);
+        SGCL_CHECK(pretrain.ok());
         const GnnEncoder& pretrained = *pre->mutable_encoder();
         for (size_t r = 0; r < label_rates.size(); ++r) {
           Rng rng(seed + 7 * r);

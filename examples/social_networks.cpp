@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     cfg.encoder.hidden_dim = 32;
     cfg.epochs = 10;
     cfg.batch_size = 16;
-    return std::make_unique<SgclPretrainer>(cfg, s);
+    return std::make_unique<SgclTrainer>(cfg, s);
   };
   auto make_graphcl = [&](uint64_t s) -> std::unique_ptr<Pretrainer> {
     BaselineConfig cfg;

@@ -25,6 +25,11 @@ class AdGclBaseline : public GclPretrainerBase {
  protected:
   Tensor BatchLoss(const std::vector<const Graph*>& graphs,
                    Rng* rng) override;
+  // The augmenter and its own Adam are not in a checkpoint.
+  Status CheckpointSupport() const override {
+    return Status::FailedPrecondition(
+        "AD-GCL cannot checkpoint its augmenter and the augmenter's Adam");
+  }
 
  private:
   // Per-edge keep weights in (0,1) from the augmenter tower (on tape).

@@ -22,6 +22,11 @@ class JoaoBaseline : public GraphClBaseline {
   Tensor BatchLoss(const std::vector<const Graph*>& graphs,
                    Rng* rng) override;
   void OnEpochEnd(int epoch) override;
+  // The sampling weights and running losses are not in a checkpoint.
+  Status CheckpointSupport() const override {
+    return Status::FailedPrecondition(
+        "JOAOv2 cannot checkpoint its augmentation sampling weights");
+  }
 
  private:
   std::vector<GraphAug> pool_;

@@ -1,5 +1,6 @@
-// Common interface for self-supervised graph pretrainers (SGCL and every
-// baseline), plus a shared minibatch training loop.
+// The shared base of every baseline pretrainer: its config, encoder and
+// fingerprint. Baselines train through the one loop, Pretrainer::Pretrain
+// (core/sgcl_trainer.h), like SGCL.
 #ifndef SGCL_BASELINES_PRETRAINER_H_
 #define SGCL_BASELINES_PRETRAINER_H_
 
@@ -7,12 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/sgcl_trainer.h"
-#include "graph/dataset.h"
-#include "graph/graph_source.h"
 #include "nn/encoder.h"
-#include "tensor/optimizer.h"
 
 namespace sgcl {
 
@@ -28,106 +25,44 @@ struct BaselineConfig {
   uint64_t seed = 0;
 };
 
-// Uniform handle over pretraining methods so evaluation harnesses and
-// benches can iterate "methods" generically.
-class Pretrainer {
- public:
-  virtual ~Pretrainer() = default;
-
-  // Self-supervised pretraining over source[indices] (all when empty).
-  // The source may be in-memory or a sharded on-disk store; methods
-  // fetch batches through GraphSource::Fetch and never assume resident
-  // graphs.
-  virtual PretrainStats Pretrain(const GraphSource& source,
-                                 const std::vector<int64_t>& indices) = 0;
-
-  // Convenience adapter: pretrains from an in-memory dataset by wrapping
-  // it in a borrowing InMemorySource for the call. Non-virtual; derived
-  // classes re-expose it with `using Pretrainer::Pretrain;`.
-  PretrainStats Pretrain(const GraphDataset& dataset,
-                         const std::vector<int64_t>& indices);
-
-  // Frozen graph embeddings for downstream evaluation.
-  virtual Tensor EmbedGraphs(
-      const std::vector<const Graph*>& graphs) const = 0;
-
-  // The representation encoder, exposed for fine-tuning protocols.
-  virtual GnnEncoder* mutable_encoder() = 0;
-
-  virtual std::string name() const = 0;
-};
-
-// Shared epoch/minibatch loop: subclasses provide the per-batch loss.
-// Parameters returned by TrainableParameters() are optimized with Adam.
+// Subclasses provide the per-batch loss. Parameters returned by
+// TrainableParameters() (the encoder's by default) are optimized with
+// Adam.
 class GclPretrainerBase : public Pretrainer {
  public:
   GclPretrainerBase(const BaselineConfig& config, std::string name);
 
-  using Pretrainer::Pretrain;
-  PretrainStats Pretrain(const GraphSource& source,
-                         const std::vector<int64_t>& indices) override;
   Tensor EmbedGraphs(const std::vector<const Graph*>& graphs) const override;
   GnnEncoder* mutable_encoder() override { return encoder_.get(); }
   std::string name() const override { return name_; }
 
  protected:
-  // The minibatch objective; must be differentiable w.r.t. the tensors
-  // returned by TrainableParameters().
-  virtual Tensor BatchLoss(const std::vector<const Graph*>& graphs,
-                           Rng* rng) = 0;
-  virtual std::vector<Tensor> TrainableParameters() const;
-  // Hook called once per epoch (e.g., JOAO's augmentation re-weighting).
-  virtual void OnEpochEnd(int epoch) { (void)epoch; }
+  std::vector<Tensor> TrainableParameters() const override;
+  // Every BaselineConfig field but the seed, plus name(). Like SGCL's,
+  // it leaves the seed out: a resumed run restores the parameters and
+  // rng_, so the ctor seed no longer matters.
+  uint64_t Fingerprint() const override;
 
   BaselineConfig config_;
-  Rng rng_;
   std::unique_ptr<GnnEncoder> encoder_;
 
  private:
   std::string name_;
 };
 
-// SGCL exposed through the same interface for side-by-side benches.
-class SgclPretrainer : public Pretrainer {
- public:
-  SgclPretrainer(const SgclConfig& config, uint64_t seed)
-      : trainer_(config, seed) {}
-
-  using Pretrainer::Pretrain;
-  PretrainStats Pretrain(const GraphSource& source,
-                         const std::vector<int64_t>& indices) override {
-    // The baseline interface predates the Result-returning trainer API;
-    // invalid inputs are programming errors in bench code, so crash loudly.
-    return trainer_.Pretrain(source, indices).value();
-  }
-  Tensor EmbedGraphs(const std::vector<const Graph*>& graphs) const override {
-    return trainer_.model().EmbedGraphs(graphs);
-  }
-  GnnEncoder* mutable_encoder() override {
-    return trainer_.model().mutable_encoder_k();
-  }
-  std::string name() const override { return "SGCL"; }
-
-  SgclTrainer& trainer() { return trainer_; }
-
- private:
-  SgclTrainer trainer_;
-};
-
-// Control that performs no pretraining ("No Pre-Train" rows).
-class NoPretrain : public Pretrainer {
+// Control that performs no pretraining ("No Pre-Train" rows): zero
+// epochs, so Pretrain only validates its input.
+class NoPretrain : public GclPretrainerBase {
  public:
   NoPretrain(const BaselineConfig& config, uint64_t seed);
 
-  using Pretrainer::Pretrain;
-  PretrainStats Pretrain(const GraphSource& source,
-                         const std::vector<int64_t>& indices) override;
-  Tensor EmbedGraphs(const std::vector<const Graph*>& graphs) const override;
-  GnnEncoder* mutable_encoder() override { return encoder_.get(); }
-  std::string name() const override { return "No Pre-Train"; }
-
- private:
-  std::unique_ptr<GnnEncoder> encoder_;
+ protected:
+  // Never called: the loop runs zero epochs.
+  Tensor BatchLoss(const std::vector<const Graph*>& /*graphs*/,
+                   Rng* /*rng*/) override {
+    SGCL_CHECK(false);
+    return Tensor();
+  }
 };
 
 }  // namespace sgcl

@@ -26,7 +26,7 @@ Result<std::unique_ptr<Pretrainer>> MakePretrainer(
   cfg.seed = seed;
   std::unique_ptr<Pretrainer> method;
   if (name == "SGCL") {
-    method = std::make_unique<SgclPretrainer>(sgcl_config, seed);
+    method = std::make_unique<SgclTrainer>(sgcl_config, seed);
   } else if (name == "InfoGraph") {
     method = std::make_unique<InfoGraphBaseline>(cfg);
   } else if (name == "Infomax") {

@@ -155,6 +155,15 @@ Status BinaryReader::Finish() {
   return Status::OK();
 }
 
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 void BufferWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
 void BufferWriter::WriteI64(int64_t v) { WriteBytes(&v, sizeof(v)); }
 void BufferWriter::WriteF32(float v) { WriteBytes(&v, sizeof(v)); }

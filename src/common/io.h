@@ -75,6 +75,10 @@ class BinaryReader {
   bool eof_ = false;
 };
 
+// FNV-1a 64-bit over a byte string: the hash behind config and content
+// fingerprints.
+uint64_t Fnv1a(const std::string& bytes);
+
 // In-memory binary serializer with the BinaryWriter value vocabulary.
 // Cannot fail: the product is bytes(), which callers persist via
 // AtomicWriteFile (checkpoints) or embed in a larger stream.

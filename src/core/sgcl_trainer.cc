@@ -51,33 +51,29 @@ std::map<std::string, double> StageDelta(
   return delta;
 }
 
-// The epoch's batch index lists under the loop's batching rules. Their
-// count must equal PretrainBatchesPerEpoch, which the all-reduce
-// schedule is built from (the loop checks it every epoch).
+// The epoch's batch index lists: PretrainBatchesPerEpoch batches of
+// consecutive `order` entries, the count the all-reduce schedule is built
+// from. A trailing batch of one graph is skipped (contrastive losses need
+// a negative) — every epoch, since the shuffle only reorders.
 std::vector<std::vector<int64_t>> BuildEpochBatches(
     const std::vector<int64_t>& order, int batch_size,
     bool* logged_dropped_tail) {
-  std::vector<std::vector<int64_t>> batch_indices;
-  batch_indices.reserve(order.size() / batch_size + 1);
-  for (size_t start = 0; start + 1 < order.size();
-       start += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(order.size(), start + static_cast<size_t>(batch_size));
-    if (end - start < 2) {
-      // InfoNCE needs at least one negative, so a trailing batch of one
-      // graph is skipped — every epoch, since the shuffle only reorders.
-      if (!*logged_dropped_tail) {
-        SGCL_LOG(DEBUG) << "Pretrain: dropping trailing batch of size "
-                        << (end - start) << " (dataset size " << order.size()
-                        << ", batch_size " << batch_size
-                        << "); these graphs are skipped each epoch";
-        *logged_dropped_tail = true;
-      }
-      break;
-    }
-    batch_indices.emplace_back(order.begin() + start, order.begin() + end);
+  const size_t n = order.size();
+  const size_t step = static_cast<size_t>(batch_size);
+  std::vector<std::vector<int64_t>> batches(static_cast<size_t>(
+      PretrainBatchesPerEpoch(static_cast<int64_t>(n), batch_size)));
+  for (size_t b = 0; b < batches.size(); ++b) {
+    batches[b].assign(order.begin() + b * step,
+                      order.begin() + std::min(n, (b + 1) * step));
   }
-  return batch_indices;
+  if (batches.size() * step < n && !*logged_dropped_tail) {
+    SGCL_LOG(DEBUG) << "Pretrain: dropping trailing batch of size "
+                    << (n - batches.size() * step) << " (dataset size " << n
+                    << ", batch_size " << batch_size
+                    << "); these graphs are skipped each epoch";
+    *logged_dropped_tail = true;
+  }
+  return batches;
 }
 
 // splitmix64 finalizer (same constants as common/rng's seeding).
@@ -115,6 +111,18 @@ void ApplyMeanGradients(std::vector<Tensor>* params,
   }
 }
 
+// The trainable parameters as a Module: the checkpoint's model section is
+// SerializeModuleParams over them, in TrainableParameters() order.
+class ParameterList : public Module {
+ public:
+  explicit ParameterList(std::vector<Tensor> params)
+      : params_(std::move(params)) {}
+  std::vector<Tensor> Parameters() const override { return params_; }
+
+ private:
+  std::vector<Tensor> params_;
+};
+
 }  // namespace
 
 uint64_t DeriveBatchSeed(uint64_t run_seed, int epoch, int64_t global_batch) {
@@ -142,27 +150,24 @@ void RecordEpochLossMetrics(float mean_loss) {
   if (!std::isfinite(mean_loss)) nonfinite_counter->Increment();
 }
 
-SgclTrainer::SgclTrainer(const SgclConfig& config, uint64_t seed)
-    : config_(config), seed_(seed), rng_(seed) {
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    SGCL_LOG(ERROR) << "invalid SgclConfig: " << valid.ToString();
-  }
-  SGCL_CHECK(valid.ok());
-  model_ = std::make_unique<SgclModel>(config_, &rng_);
-  optimizer_ = std::make_unique<Adam>(model_->Parameters(),
-                                      config_.learning_rate);
+Pretrainer::Pretrainer(uint64_t seed, const LoopConfig& loop)
+    : rng_(seed), seed_(seed), loop_(loop) {}
+
+Result<PretrainStats> Pretrainer::Pretrain(const GraphSource& source,
+                                           const std::vector<int64_t>& indices,
+                                           const PretrainOptions& options) {
+  return RunRounds(source, indices, options, /*dist=*/nullptr);
 }
 
-Result<PretrainStats> SgclTrainer::Pretrain(const GraphDataset& dataset,
-                                            const std::vector<int64_t>& indices,
-                                            const PretrainOptions& options) {
+Result<PretrainStats> Pretrainer::Pretrain(const GraphDataset& dataset,
+                                           const std::vector<int64_t>& indices,
+                                           const PretrainOptions& options) {
   const InMemorySource source(&dataset);
   return Pretrain(source, indices, options);
 }
 
-void SgclTrainer::ShuffleOrder(std::vector<int64_t>* order,
-                               const std::vector<IndexRange>& blocks) {
+void Pretrainer::ShuffleOrder(std::vector<int64_t>* order,
+                              const std::vector<IndexRange>& blocks) {
   if (blocks.size() <= 1) {
     // Single-block source: the historical global shuffle, bit-identical
     // to the pre-GraphSource loop.
@@ -204,31 +209,25 @@ void SgclTrainer::ShuffleOrder(std::vector<int64_t>* order,
   }
 }
 
-Result<PretrainStats> SgclTrainer::Pretrain(const GraphSource& source,
-                                            const std::vector<int64_t>& indices,
-                                            const PretrainOptions& options) {
-  return RunRounds(source, indices, options, /*dist=*/nullptr);
-}
-
-AllReduceSchedule SgclTrainer::DistributedSchedule(const GraphSource& source,
-                                                   int64_t selected,
-                                                   int world_size,
-                                                   int grad_accum,
-                                                   uint64_t run_seed) const {
+AllReduceSchedule Pretrainer::RoundSchedule(const GraphSource& source,
+                                            int64_t selected, int world_size,
+                                            int grad_accum,
+                                            uint64_t run_seed) const {
   AllReduceSchedule schedule;
   schedule.world_size = static_cast<uint32_t>(world_size);
   schedule.accum = static_cast<uint32_t>(grad_accum);
-  schedule.epochs = static_cast<uint32_t>(config_.epochs);
-  schedule.grad_dim = static_cast<uint64_t>(model_->NumParameters());
+  schedule.epochs = static_cast<uint32_t>(loop_.epochs);
+  schedule.grad_dim = static_cast<uint64_t>(
+      ParameterList(TrainableParameters()).NumParameters());
   schedule.batches_per_epoch = static_cast<uint64_t>(
-      PretrainBatchesPerEpoch(selected, config_.batch_size));
-  schedule.config_fingerprint = ConfigFingerprint(config_);
+      PretrainBatchesPerEpoch(selected, loop_.batch_size));
+  schedule.config_fingerprint = Fingerprint();
   schedule.source_fingerprint = source.ContentFingerprint();
   schedule.run_seed = run_seed;
   return schedule;
 }
 
-Result<PretrainStats> SgclTrainer::RunRounds(
+Result<PretrainStats> Pretrainer::RunRounds(
     const GraphSource& source, const std::vector<int64_t>& indices,
     const PretrainOptions& options, const DistributedPretrainOptions* dist) {
   const int world = dist != nullptr ? dist->world_size : 1;
@@ -243,12 +242,15 @@ Result<PretrainStats> SgclTrainer::RunRounds(
   }
   if (order.size() < 2) {
     return Status::InvalidArgument(
-        "Pretrain needs at least 2 graphs (InfoNCE requires a negative)");
+        "Pretrain needs at least 2 graphs (a batch needs a negative)");
   }
   for (int64_t index : order) {
     if (index < 0 || index >= source.size()) {
       return Status::OutOfRange("Pretrain index outside source");
     }
+  }
+  if (!options.checkpoint_dir.empty() || !options.resume_from.empty()) {
+    SGCL_RETURN_NOT_OK(CheckpointSupport());
   }
   if (options.checkpoint_every_batches < 0) {
     return Status::InvalidArgument(
@@ -274,9 +276,13 @@ Result<PretrainStats> SgclTrainer::RunRounds(
   }
 
   PretrainStats stats;
-  stats.epoch_losses.reserve(config_.epochs);
-  stats.epoch_seconds.reserve(config_.epochs);
-  const uint64_t fingerprint = ConfigFingerprint(config_);
+  std::vector<Tensor> params = TrainableParameters();
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<Adam>(params, loop_.learning_rate);
+  }
+  stats.epoch_losses.reserve(loop_.epochs);
+  stats.epoch_seconds.reserve(loop_.epochs);
+  const uint64_t fingerprint = Fingerprint();
   const uint64_t source_fingerprint = source.ContentFingerprint();
   // Recorded in checkpoints for distributed batch-seed replay; a
   // resumed run carries the original forward even when this process was
@@ -331,8 +337,9 @@ Result<PretrainStats> SgclTrainer::RunRounds(
           options.resume_from.c_str(),
           static_cast<long long>(state.batch_cursor), grad_accum));
     }
-    SGCL_RETURN_NOT_OK(ApplyModuleParams(state.model_params, model_.get(),
-                                         options.resume_from));
+    ParameterList model(params);
+    SGCL_RETURN_NOT_OK(
+        ApplyModuleParams(state.model_params, &model, options.resume_from));
     SGCL_RETURN_NOT_OK(optimizer_->ImportState(state.optimizer));
     rng_.SetState(state.rng);
     if (state.train_seed != 0) train_seed = state.train_seed;
@@ -355,8 +362,8 @@ Result<PretrainStats> SgclTrainer::RunRounds(
   }
 
   const AllReduceSchedule schedule =
-      DistributedSchedule(source, static_cast<int64_t>(order.size()), world,
-                          grad_accum, train_seed);
+      RoundSchedule(source, static_cast<int64_t>(order.size()), world,
+                    grad_accum, train_seed);
   const uint64_t rounds_per_epoch = schedule.rounds_per_epoch();
   const uint64_t accum = schedule.accum;
   // Rounds below this are already reduced cluster-wide: replay them from
@@ -406,11 +413,11 @@ Result<PretrainStats> SgclTrainer::RunRounds(
     Stopwatch save_watch;
     TrainState state;
     state.config_fingerprint = fingerprint;
-    state.model_params = SerializeModuleParams(*model_);
+    state.model_params = SerializeModuleParams(ParameterList(params));
     state.optimizer = optimizer_->ExportState();
     state.rng = rng_.GetState();
     state.next_epoch = next_epoch;
-    state.total_epochs = config_.epochs;
+    state.total_epochs = loop_.epochs;
     state.total_batches = stats.total_batches;
     state.order = order;
     state.epoch_losses = stats.epoch_losses;
@@ -439,9 +446,8 @@ Result<PretrainStats> SgclTrainer::RunRounds(
     return Status::OK();
   };
 
-  std::vector<Tensor> params = model_->Parameters();
   std::vector<float> leaf_grad;
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
+  for (int epoch = start_epoch; epoch < loop_.epochs; ++epoch) {
     SGCL_TRACE_SPAN("train/epoch");
     Stopwatch epoch_watch;
     // A mid-epoch resume re-enters an epoch whose shuffle already
@@ -455,11 +461,9 @@ Result<PretrainStats> SgclTrainer::RunRounds(
         epoch == start_epoch && resume_batch_cursor > 0;
     if (!mid_epoch_resume) ShuffleOrder(&order, blocks);
     std::vector<std::vector<int64_t>> all_batches =
-        BuildEpochBatches(order, config_.batch_size, &logged_dropped_tail_);
+        BuildEpochBatches(order, loop_.batch_size, &logged_dropped_tail_);
     const int64_t epoch_batch_total =
         static_cast<int64_t>(all_batches.size());
-    SGCL_CHECK(epoch_batch_total ==
-               static_cast<int64_t>(schedule.batches_per_epoch));
     double epoch_loss = 0.0;
     int64_t batches = 0;
     if (mid_epoch_resume) {
@@ -526,8 +530,8 @@ Result<PretrainStats> SgclTrainer::RunRounds(
             batch_rng.emplace(DeriveBatchSeed(
                 train_seed, epoch, static_cast<int64_t>(r * accum + slot)));
           }
-          Tensor loss = model_->ComputeLoss(
-              fetched.graphs(), batch_rng ? &*batch_rng : &rng_);
+          Tensor loss =
+              BatchLoss(fetched.graphs(), batch_rng ? &*batch_rng : &rng_);
           {
             SGCL_TRACE_SPAN_TIMED("backward");
             loss.Backward();
@@ -559,7 +563,7 @@ Result<PretrainStats> SgclTrainer::RunRounds(
         if (dist != nullptr) {
           ApplyMeanGradients(&params, round.grad_sum, round.leaf_count);
         }
-        optimizer_->ClipGradNorm(config_.grad_clip);
+        optimizer_->ClipGradNorm(loop_.grad_clip);
         optimizer_->Step();
       }
       epoch_loss += loss_sum;
@@ -588,11 +592,12 @@ Result<PretrainStats> SgclTrainer::RunRounds(
     stats.total_batches += batches;
     epochs_counter->Increment();
     RecordEpochLossMetrics(mean_loss);
-    SGCL_LOG(DEBUG) << "pretrain epoch " << epoch << " loss " << mean_loss
+    SGCL_LOG(DEBUG) << name() << " epoch " << epoch << " loss " << mean_loss
                     << rank_note;
+    OnEpochEnd(epoch);
     if (!options.checkpoint_dir.empty() &&
         ((epoch + 1) % options.checkpoint_every == 0 ||
-         epoch + 1 == config_.epochs)) {
+         epoch + 1 == loop_.epochs)) {
       SGCL_RETURN_NOT_OK(save_checkpoint(
           epoch + 1, 0, 0.0,
           CheckpointFileName(options.checkpoint_dir, epoch + 1)));
@@ -602,7 +607,7 @@ Result<PretrainStats> SgclTrainer::RunRounds(
           StageSeconds(MetricsRegistry::Global().Snapshot());
       EpochReport report;
       report.epoch = epoch;
-      report.total_epochs = config_.epochs;
+      report.total_epochs = loop_.epochs;
       report.mean_loss = mean_loss;
       report.batches = batches;
       report.seconds = epoch_seconds;
@@ -619,6 +624,33 @@ Result<PretrainStats> SgclTrainer::RunRounds(
     client.Disconnect();
   }
   return stats;
+}
+
+SgclTrainer::SgclTrainer(const SgclConfig& config, uint64_t seed)
+    : Pretrainer(seed, {config.epochs, config.batch_size,
+                        config.learning_rate, config.grad_clip}),
+      config_(config) {
+  const Status valid = config.Validate();
+  if (!valid.ok()) {
+    SGCL_LOG(ERROR) << "invalid SgclConfig: " << valid.ToString();
+  }
+  SGCL_CHECK(valid.ok());
+  model_ = std::make_unique<SgclModel>(config_, &rng_);
+}
+
+// Defined here, not in sgcl_model.cc: the call must cross object files so
+// a link-time wrapper of ComputeLoss sees every training step.
+Tensor SgclTrainer::BatchLoss(const std::vector<const Graph*>& graphs,
+                              Rng* rng) {
+  return model_->ComputeLoss(graphs, rng);
+}
+
+AllReduceSchedule SgclTrainer::DistributedSchedule(const GraphSource& source,
+                                                   int64_t selected,
+                                                   int world_size,
+                                                   int grad_accum,
+                                                   uint64_t run_seed) const {
+  return RoundSchedule(source, selected, world_size, grad_accum, run_seed);
 }
 
 Result<PretrainStats> SgclTrainer::PretrainDistributed(

@@ -1,14 +1,16 @@
-// Self-supervised pretraining loop for SGCL, with an observer-based
-// progress/observability API.
+// The self-supervised pretraining loop of SGCL and every baseline
+// (Pretrainer), with an observer-based progress/observability API, and
+// SGCL's subclass of it (SgclTrainer).
 //
-// There is one epoch loop. Each optimizer step is a "round" of up to
-// `accum` global batches (DESIGN.md §12.3). Pretrain runs it in one
-// process at world 1 and accum 1; PretrainDistributed runs it as one
-// rank of an all-reduce cluster. The two differ in exactly three ways:
+// There is one epoch loop, Pretrainer::RunRounds. Each optimizer step is
+// a "round" of up to `accum` global batches (DESIGN.md §12.3). Pretrain
+// runs it in one process at world 1 and accum 1, for every method;
+// SgclTrainer::PretrainDistributed runs it as one rank of an all-reduce
+// cluster. The two differ in exactly three ways:
 //   1. round size: 1 batch vs DistributedPretrainOptions::grad_accum;
 //   2. gradients: left where Backward put them vs replaced by the
 //      round's mean from the AllReduceClient;
-//   3. stochastic draws: the trainer's own RNG stream vs a
+//   3. stochastic draws: the pretrainer's own RNG stream vs a
 //      DeriveBatchSeed stream per batch.
 // (PretrainDistributed also ignores should_cancel.) Validation, resume,
 // checkpoint cadence, epoch accounting and reporting are shared.
@@ -21,10 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/sgcl_model.h"
+#include "core/train_state.h"
 #include "graph/dataset.h"
 #include "graph/graph_source.h"
+#include "nn/encoder.h"
 #include "tensor/optimizer.h"
 
 namespace sgcl {
@@ -89,8 +94,8 @@ struct PretrainOptions {
   int checkpoint_every = 1;
   int checkpoint_keep_last = 3;
   // Path of a checkpoint to resume from (typically
-  // FindLatestCheckpoint(checkpoint_dir)). The trainer must have been
-  // constructed with a config whose ConfigFingerprint matches the
+  // FindLatestCheckpoint(checkpoint_dir)). The pretrainer must be the
+  // same method, constructed with a config whose fingerprint matches the
   // checkpoint's, and the call's `indices` must select the same graph
   // set the checkpointed run used. The resumed run replays the exact
   // remaining epochs: its PretrainStats (including the restored-epoch
@@ -123,8 +128,8 @@ uint64_t DeriveBatchSeed(uint64_t run_seed, int epoch, int64_t global_batch);
 
 // Batches one Pretrain epoch runs over `selected` graphs at
 // `batch_size` (trailing batches with fewer than 2 graphs are dropped —
-// InfoNCE needs a negative). The distributed schedule quantity K: every
-// worker and the coordinator must compute the same value.
+// contrastive losses need a negative). The distributed schedule quantity
+// K: every worker and the coordinator must compute the same value.
 int64_t PretrainBatchesPerEpoch(int64_t selected, int batch_size);
 
 // Data-parallel settings for PretrainDistributed. The schedule is
@@ -156,24 +161,24 @@ struct DistributedPretrainOptions {
 // Pretrain after every epoch; exposed for direct unit testing.
 void RecordEpochLossMetrics(float mean_loss);
 
-class SgclTrainer {
+// A self-supervised pretraining method (SGCL or a baseline) and the loop
+// that trains it, so evaluation harnesses and benches can iterate methods
+// generically. The base owns the RNG stream, the Adam optimizer (built
+// once per object, on the first Pretrain) and the loop.
+class Pretrainer {
  public:
-  // `config` must pass SgclConfig::Validate(); a failed validation is a
-  // programming error here (fatal). Callers holding untrusted configs
-  // (e.g. the CLI) validate first and surface the Status themselves.
-  SgclTrainer(const SgclConfig& config, uint64_t seed);
+  virtual ~Pretrainer() = default;
 
-  // Runs config.epochs of Adam over shuffled minibatches of `source`
-  // (indices into it; empty = all graphs), one optimizer step per
-  // minibatch: the round loop at world 1 and accum 1. Minibatches with
-  // fewer than 2 graphs are skipped (InfoNCE needs a negative). Returns
-  // InvalidArgument when fewer than 2 graphs are selected or an index is
-  // out of range. Batches stream through the prefetch pipeline; for
-  // multi-block sources (sharded stores) the per-epoch shuffle is
-  // block-aware — shard order and within-shard order are both shuffled,
-  // but a batch never straddles more shards than it must — bounding the
-  // decoded-shard working set. Single-block sources (in-memory) shuffle
-  // globally, bit-identical to the historical loop.
+  // Runs `epochs` of Adam over shuffled minibatches of `source` (indices
+  // into it; empty = all graphs), one optimizer step per minibatch: the
+  // round loop at world 1 and accum 1. Minibatches with fewer than 2
+  // graphs are skipped. Returns InvalidArgument when fewer than 2 graphs
+  // are selected and OutOfRange when an index is outside the source.
+  // Batches stream through the prefetch pipeline; for multi-block
+  // sources (sharded stores) the per-epoch shuffle is block-aware —
+  // shard order and within-shard order are both shuffled, but a batch
+  // never straddles more shards than it must — bounding the decoded-shard
+  // working set. Single-block sources (in-memory) shuffle globally.
   Result<PretrainStats> Pretrain(const GraphSource& source,
                                  const std::vector<int64_t>& indices = {},
                                  const PretrainOptions& options = {});
@@ -183,6 +188,84 @@ class SgclTrainer {
   Result<PretrainStats> Pretrain(const GraphDataset& dataset,
                                  const std::vector<int64_t>& indices = {},
                                  const PretrainOptions& options = {});
+
+  // Frozen graph embeddings for downstream evaluation.
+  virtual Tensor EmbedGraphs(
+      const std::vector<const Graph*>& graphs) const = 0;
+
+  // The representation encoder, exposed for fine-tuning protocols.
+  virtual GnnEncoder* mutable_encoder() = 0;
+
+  virtual std::string name() const = 0;
+
+  // The ctor seed (the distributed handshake's run_seed for fresh runs).
+  uint64_t seed() const { return seed_; }
+
+ protected:
+  // The loop settings every method's config carries.
+  struct LoopConfig {
+    int epochs = 0;
+    int batch_size = 0;
+    float learning_rate = 0.0f;
+    float grad_clip = 0.0f;
+  };
+
+  Pretrainer(uint64_t seed, const LoopConfig& loop);
+
+  // The minibatch objective; must be differentiable w.r.t. the tensors
+  // returned by TrainableParameters(). `rng` drives its stochastic draws.
+  virtual Tensor BatchLoss(const std::vector<const Graph*>& graphs,
+                           Rng* rng) = 0;
+  // The tensors Adam optimizes, in a fixed order: the gradient layout of
+  // the all-reduce and the model section of a checkpoint.
+  virtual std::vector<Tensor> TrainableParameters() const = 0;
+  // Called once per completed epoch, before the checkpoint and the next
+  // shuffle (e.g., JOAO's augmentation re-weighting).
+  virtual void OnEpochEnd(int epoch) { (void)epoch; }
+  // Hash of every setting that shapes training. A checkpoint resumes
+  // only into a pretrainer with the same fingerprint.
+  virtual uint64_t Fingerprint() const = 0;
+  // FailedPrecondition when the method keeps training state that a
+  // checkpoint (trainable parameters, Adam and rng_) does not capture;
+  // Pretrain then refuses checkpoint_dir and resume_from.
+  virtual Status CheckpointSupport() const { return Status::OK(); }
+
+  // The all-reduce schedule of a run over `selected` graphs of `source`
+  // at `world_size` workers and `grad_accum` batches per round.
+  // `run_seed` is the run's original seed (seed() for a fresh run,
+  // TrainState::train_seed for a resumed one).
+  AllReduceSchedule RoundSchedule(const GraphSource& source, int64_t selected,
+                                  int world_size, int grad_accum,
+                                  uint64_t run_seed) const;
+
+  // The one epoch loop behind Pretrain (`dist` null: world 1, accum 1,
+  // no all-reduce, draws from rng_) and SgclTrainer::PretrainDistributed.
+  Result<PretrainStats> RunRounds(const GraphSource& source,
+                                  const std::vector<int64_t>& indices,
+                                  const PretrainOptions& options,
+                                  const DistributedPretrainOptions* dist);
+
+  Rng rng_;
+
+ private:
+  // Per-epoch permutation update; block-aware for multi-block sources.
+  void ShuffleOrder(std::vector<int64_t>* order,
+                    const std::vector<IndexRange>& blocks);
+
+  uint64_t seed_;
+  LoopConfig loop_;
+  std::unique_ptr<Adam> optimizer_;
+  bool logged_dropped_tail_ = false;  // log the skipped size-1 tail once
+};
+
+// SGCL as a Pretrainer: its batch loss is SgclModel::ComputeLoss, and it
+// alone adds a data-parallel entry point, PretrainDistributed.
+class SgclTrainer : public Pretrainer {
+ public:
+  // `config` must pass SgclConfig::Validate(); a failed validation is a
+  // programming error here (fatal). Callers holding untrusted configs
+  // (e.g. the CLI) validate first and surface the Status themselves.
+  SgclTrainer(const SgclConfig& config, uint64_t seed);
 
   // Data-parallel pretraining: the round loop with rounds of
   // `dist.grad_accum` batches. This trainer acts as worker `dist.rank`
@@ -217,29 +300,28 @@ class SgclTrainer {
                                         int grad_accum,
                                         uint64_t run_seed) const;
 
+  Tensor EmbedGraphs(const std::vector<const Graph*>& graphs) const override {
+    return model_->EmbedGraphs(graphs);
+  }
+  GnnEncoder* mutable_encoder() override {
+    return model_->mutable_encoder_k();
+  }
+  std::string name() const override { return "SGCL"; }
+
   SgclModel& model() { return *model_; }
   const SgclModel& model() const { return *model_; }
-  // The ctor seed (the distributed handshake's run_seed for fresh runs).
-  uint64_t seed() const { return seed_; }
+
+ protected:
+  Tensor BatchLoss(const std::vector<const Graph*>& graphs,
+                   Rng* rng) override;
+  std::vector<Tensor> TrainableParameters() const override {
+    return model_->Parameters();
+  }
+  uint64_t Fingerprint() const override { return ConfigFingerprint(config_); }
 
  private:
-  // The one epoch loop behind Pretrain (`dist` null: world 1, accum 1,
-  // no all-reduce, draws from rng_) and PretrainDistributed.
-  Result<PretrainStats> RunRounds(const GraphSource& source,
-                                  const std::vector<int64_t>& indices,
-                                  const PretrainOptions& options,
-                                  const DistributedPretrainOptions* dist);
-
-  // Per-epoch permutation update; block-aware for multi-block sources.
-  void ShuffleOrder(std::vector<int64_t>* order,
-                    const std::vector<IndexRange>& blocks);
-
   SgclConfig config_;
-  uint64_t seed_;
-  Rng rng_;
   std::unique_ptr<SgclModel> model_;
-  std::unique_ptr<Adam> optimizer_;
-  bool logged_dropped_tail_ = false;  // log the skipped size-1 tail once
 };
 
 }  // namespace sgcl

@@ -18,16 +18,6 @@ namespace fs = std::filesystem;
 constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".sgcl";
 
-// FNV-1a 64-bit.
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string SerializeOptimizerSection(const AdamState& state) {
   BufferWriter writer;
   writer.WriteI64(state.t);

@@ -1,19 +1,20 @@
-// Crash-safe training checkpoints: the complete resumable state of an
-// SGCL pretraining run, serialized into the v2 section container
-// (nn/checkpoint.h) and published atomically (common/io.h).
+// Crash-safe training checkpoints: the complete resumable state of a
+// pretraining run (core/sgcl_trainer.h), serialized into the v2 section
+// container (nn/checkpoint.h) and published atomically (common/io.h).
 //
 // The resume contract is *bitwise determinism*: a run checkpointed at
 // epoch k and resumed in a fresh process produces exactly the per-epoch
 // losses the uninterrupted run would have. That requires capturing every
 // input to the remaining epochs:
-//   - both towers' parameters and heads (kModel section),
+//   - the trainable parameters; for SGCL both towers and heads (kModel),
 //   - Adam's step counter and first/second moments (kOptimizer),
 //   - the trainer RNG stream, including the Box-Muller spare (kRng),
 //   - the epoch cursor plus the *current* order permutation — Pretrain
 //     shuffles `order` in place, so epoch k+1's shuffle depends on the
 //     post-epoch-k vector, not on the original indices (kCursor),
-//   - a fingerprint of the SgclConfig, checked on resume so state is
-//     never applied to a differently-configured trainer (kConfig).
+//   - the pretrainer's config fingerprint, checked on resume so state is
+//     never applied to a differently-configured trainer or another
+//     method (kConfig).
 // Completed-epoch losses/timings ride along in the cursor section so a
 // resumed PretrainStats reports the whole run, not just its tail.
 #ifndef SGCL_CORE_TRAIN_STATE_H_
@@ -33,8 +34,8 @@ namespace sgcl {
 // In-memory image of one training checkpoint.
 struct TrainState {
   uint64_t config_fingerprint = 0;
-  std::string model_params;  // SerializeModuleParams blob (both towers
-                             // plus projection and probability heads, in
+  std::string model_params;  // SerializeModuleParams blob over the
+                             // pretrainer's TrainableParameters() (SGCL:
                              // SgclModel::Parameters() order)
   AdamState optimizer;
   RngState rng;              // the trainer's single RNG stream

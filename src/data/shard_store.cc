@@ -21,16 +21,6 @@ constexpr uint32_t kManifestMagic = 0x5347534du;  // "SGSM"
 constexpr uint32_t kFormatVersion = 1;
 constexpr int64_t kMaxShards = int64_t{1} << 20;
 
-// FNV-1a 64-bit over a byte string.
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Validates the whole-file trailing CRC and returns the body (all bytes
 // before the 4-byte trailer).
 Result<size_t> CheckTrailingCrc(const std::string& bytes,

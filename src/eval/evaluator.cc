@@ -23,10 +23,7 @@ MeanStd RunUnsupervisedProtocol(
     // Pretrain on (1 - test_fraction) of the graphs, unlabeled.
     HoldoutSplit split = TrainTestSplit(
         source.size(), 1.0 - options.pretrain_fraction, &rng);
-    // Pretrainer::Pretrain returns plain PretrainStats — the lint R1 hit
-    // is a name collision with SgclTrainer's fallible Pretrain.
-    // NOLINTNEXTLINE(sgcl-R1)
-    method->Pretrain(source, split.train);
+    SGCL_CHECK(method->Pretrain(source, split.train).ok());
     // Embed the whole source.
     const FetchedGraphs all = source.FetchAll().value();
     Tensor emb = method->EmbedGraphs(all.graphs());

@@ -68,7 +68,7 @@ std::function<double(const SgclConfig&)> MakeUnsupervisedGridEvaluator(
     proto.base_seed = base_seed;
     MeanStd acc = RunUnsupervisedProtocol(
         [&](uint64_t seed) {
-          return std::make_unique<SgclPretrainer>(config, seed);
+          return std::make_unique<SgclTrainer>(config, seed);
         },
         *dataset, proto);
     return acc.mean;

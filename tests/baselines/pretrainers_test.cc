@@ -39,7 +39,7 @@ BaselineConfig SmallConfig(const GraphDataset& ds) {
 }
 
 void CheckPretrainer(Pretrainer* method, const GraphDataset& ds) {
-  PretrainStats stats = method->Pretrain(ds, {});
+  PretrainStats stats = method->Pretrain(ds, {}).value();
   ASSERT_FALSE(stats.epoch_losses.empty()) << method->name();
   for (float l : stats.epoch_losses) {
     EXPECT_TRUE(std::isfinite(l)) << method->name();
@@ -137,7 +137,7 @@ TEST(PretrainersTest, Gae) {
 TEST(PretrainersTest, NoPretrainEmbedsWithoutTraining) {
   GraphDataset ds = SmallDataset();
   NoPretrain method(SmallConfig(ds), 3);
-  PretrainStats stats = method.Pretrain(ds, {});
+  PretrainStats stats = method.Pretrain(ds, {}).value();
   EXPECT_TRUE(stats.epoch_losses.empty());
   Tensor emb = method.EmbedGraphs({&ds.graph(0), &ds.graph(1)});
   EXPECT_EQ(emb.rows(), 2);
@@ -150,7 +150,7 @@ TEST(PretrainersTest, TrainingReducesLoss) {
   BaselineConfig cfg = SmallConfig(ds);
   cfg.epochs = 10;
   GraphClBaseline method(cfg);
-  PretrainStats stats = method.Pretrain(ds, {});
+  PretrainStats stats = method.Pretrain(ds, {}).value();
   const float early = stats.epoch_losses[0];
   const float late = stats.epoch_losses.back();
   EXPECT_LT(late, early + 0.1f);

@@ -56,7 +56,7 @@ TEST(RegistryTest, ConstructedMethodsCanTrainOneEpoch) {
     auto method = MakePretrainer(name, SmallBaselineConfig(ds.feat_dim()),
                                  sgcl_cfg, 2);
     ASSERT_TRUE(method.ok()) << name;
-    (*method)->Pretrain(ds, {});
+    (*method)->Pretrain(ds, {}).value();
     Tensor emb = (*method)->EmbedGraphs({&ds.graph(0), &ds.graph(1)});
     EXPECT_EQ(emb.rows(), 2) << name;
   }

@@ -126,7 +126,7 @@ TEST(UnsupervisedProtocolTest, RunsEndToEndWithSgcl) {
         cfg.proj_dim = 16;
         cfg.epochs = 2;
         cfg.batch_size = 8;
-        return std::make_unique<SgclPretrainer>(cfg, seed);
+        return std::make_unique<SgclTrainer>(cfg, seed);
       },
       ds, opt);
   EXPECT_GT(result.mean, 0.3);

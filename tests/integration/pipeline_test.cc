@@ -120,7 +120,7 @@ TEST(PipelineTest, RegistryDrivenComparison) {
   for (const std::string name : {"SGCL", "GraphCL"}) {
     auto method = MakePretrainer(name, bcfg, scfg, 92);
     ASSERT_TRUE(method.ok());
-    (*method)->Pretrain(ds, {});
+    (*method)->Pretrain(ds, {}).value();
     std::vector<const Graph*> all;
     for (int64_t i = 0; i < ds.size(); ++i) all.push_back(&ds.graph(i));
     Tensor emb = (*method)->EmbedGraphs(all);
