@@ -1,9 +1,10 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/metrics.h"
-#include "common/parallel.h"
+#include "tensor/gemm.h"
 
 namespace sgcl {
 namespace {
@@ -21,14 +22,6 @@ void TallyMatMul(const char* which, int64_t flops) {
       MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
   (which[0] == 't' ? matmul_tb : matmul)->Increment();
   flops_counter->Increment(flops);
-}
-
-// Rows per ParallelFor chunk for a kernel costing `flops_per_row`: small
-// matrices stay inline; large ones split into ~64 KFLOP tasks.
-int64_t RowGrain(int64_t flops_per_row) {
-  constexpr int64_t kMinFlopsPerChunk = 1 << 16;
-  return std::max<int64_t>(1,
-                           kMinFlopsPerChunk / std::max<int64_t>(1, flops_per_row));
 }
 
 // Accumulates `delta` into `t`'s grad if it participates in autograd.
@@ -69,21 +62,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   SGCL_CHECK_EQ(k, b.rows());
   TallyMatMul("matmul", 2 * m * k * n);
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  // Row-partitioned: each chunk owns disjoint output rows, so results are
-  // identical for every thread count.
-  ParallelFor(0, m, RowGrain(k * n), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = ad[i * k + p];
-        if (av == 0.0f) continue;
-        const float* brow = bd + p * n;
-        float* orow = out.data() + i * n;
-        for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  });
+  GemmAccumulate(a.data(), b.data(), out.data(), m, k, n);
   auto a_impl = a.impl();
   auto b_impl = b.impl();
   return MakeOpOutput(
@@ -92,39 +71,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         const float* g = self.grad.data();
         if (a_impl->requires_grad) {
           a_impl->EnsureGradAllocated();
-          // dA = dC * B^T; chunks own disjoint rows of dA.
-          const float* bd = b_impl->data.data();
-          float* agrad = a_impl->grad.data();
-          ParallelFor(0, m, RowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-              for (int64_t p = 0; p < k; ++p) {
-                float acc = 0.0f;
-                const float* grow = g + i * n;
-                const float* brow = bd + p * n;
-                for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
-                agrad[i * k + p] += acc;
-              }
-            }
-          });
+          // dA += dC * B^T.
+          const std::vector<float> bt =
+              PackTransposed(b_impl->data.data(), k, n);
+          GemmDot(g, bt.data(), a_impl->grad.data(), m, n, k,
+                  /*accumulate=*/true);
         }
         if (b_impl->requires_grad) {
           b_impl->EnsureGradAllocated();
-          // dB = A^T * dC; chunks own disjoint rows p of dB, and each
-          // accumulates over i in ascending order — the same order as the
-          // sequential i-outer loop, so sums are bitwise-identical.
-          const float* ad = a_impl->data.data();
-          float* bgrad = b_impl->grad.data();
-          ParallelFor(0, k, RowGrain(m * n), [&](int64_t p0, int64_t p1) {
-            for (int64_t p = p0; p < p1; ++p) {
-              float* brow = bgrad + p * n;
-              for (int64_t i = 0; i < m; ++i) {
-                const float av = ad[i * k + p];
-                if (av == 0.0f) continue;
-                const float* grow = g + i * n;
-                for (int64_t j = 0; j < n; ++j) brow[j] += av * grow[j];
-              }
-            }
-          });
+          // dB += A^T * dC.
+          const std::vector<float> at =
+              PackTransposed(a_impl->data.data(), m, k);
+          GemmAccumulate(at.data(), g, b_impl->grad.data(), k, m, n);
         }
       });
 }
@@ -135,21 +93,9 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   SGCL_CHECK_EQ(k, b.cols());
   TallyMatMul("transb", 2 * m * k * n);
-  std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  // Row-partitioned over output rows (see MatMul).
-  ParallelFor(0, m, RowGrain(k * n), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        const float* arow = ad + i * k;
-        const float* brow = bd + j * k;
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        out[i * n + j] = acc;
-      }
-    }
-  });
+  std::vector<float> out(static_cast<size_t>(m * n));
+  const std::vector<float> bt = PackTransposed(b.data(), n, k);
+  GemmDot(a.data(), bt.data(), out.data(), m, k, n, /*accumulate=*/false);
   auto a_impl = a.impl();
   auto b_impl = b.impl();
   return MakeOpOutput(
@@ -158,38 +104,15 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
         const float* g = self.grad.data();
         if (a_impl->requires_grad) {
           a_impl->EnsureGradAllocated();
-          // dA = dC * B; chunks own disjoint rows of dA.
-          const float* bd = b_impl->data.data();
-          float* agrad = a_impl->grad.data();
-          ParallelFor(0, m, RowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-              for (int64_t j = 0; j < n; ++j) {
-                const float gv = g[i * n + j];
-                if (gv == 0.0f) continue;
-                const float* brow = bd + j * k;
-                float* arow = agrad + i * k;
-                for (int64_t p = 0; p < k; ++p) arow[p] += gv * brow[p];
-              }
-            }
-          });
+          // dA += dC * B.
+          GemmAccumulate(g, b_impl->data.data(), a_impl->grad.data(), m, n, k);
         }
         if (b_impl->requires_grad) {
           b_impl->EnsureGradAllocated();
-          // dB = dC^T * A; chunks own disjoint rows j of dB, each summing
-          // over i ascending — the sequential accumulation order.
-          const float* ad = a_impl->data.data();
-          float* bgrad = b_impl->grad.data();
-          ParallelFor(0, n, RowGrain(m * k), [&](int64_t j0, int64_t j1) {
-            for (int64_t j = j0; j < j1; ++j) {
-              float* brow = bgrad + j * k;
-              for (int64_t i = 0; i < m; ++i) {
-                const float gv = g[i * n + j];
-                if (gv == 0.0f) continue;
-                const float* arow = ad + i * k;
-                for (int64_t p = 0; p < k; ++p) brow[p] += gv * arow[p];
-              }
-            }
-          });
+          // dB += dC^T * A.
+          const std::vector<float> gt = PackTransposed(g, m, n);
+          GemmAccumulate(gt.data(), a_impl->data.data(), b_impl->grad.data(),
+                         n, m, k);
         }
       });
 }
@@ -361,16 +284,22 @@ Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor Relu(const Tensor& a) {
   std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0.0f) {
-      dfdx[i] = 1.0f;
-    } else {
-      out[i] = 0.0f;
-      dfdx[i] = 0.0f;
-    }
-  }
-  return UnaryOp(a, std::move(out), std::move(dfdx));
+  for (float& v : out) v = v > 0.0f ? v : 0.0f;
+  auto a_impl = a.impl();
+  // The slope is read back from the output: y > 0 exactly where x > 0,
+  // and a NaN input leaves y = 0, so no N x d slope buffer is kept.
+  return MakeOpOutput(
+      a.shape(), std::move(out), {a}, [a_impl](TensorImpl& self) {
+        if (!a_impl->requires_grad) return;
+        a_impl->EnsureGradAllocated();
+        const float* y = self.data.data();
+        const float* dy = self.grad.data();
+        float* dx = a_impl->grad.data();
+        for (size_t i = 0; i < self.grad.size(); ++i) {
+          const float slope = y[i] > 0.0f ? 1.0f : 0.0f;
+          dx[i] += dy[i] * slope;
+        }
+      });
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {

@@ -174,7 +174,9 @@ TEST_F(ServiceTest, MicroBatchedEmbeddingIsBitwiseIdenticalToAlone) {
   // block-diagonal forward (one request with company = one batch).
   const std::string target = OneGraphBody();
   std::string multi = target;
-  multi.insert(multi.rfind("]}"), "," + OtherGraph());
+  std::string company = ",";
+  company += OtherGraph();
+  multi.insert(multi.rfind("]}"), company);
   const std::string batched = FirstRow(Body(Post(port_, "/v1/embed", multi)));
   EXPECT_EQ(alone, batched);
 
@@ -204,7 +206,9 @@ TEST_F(ServiceTest, PredictBatchedIsBitwiseIdenticalToAlone) {
       FirstRow(Body(Post(port_, "/v1/predict", OneGraphBody())));
   ASSERT_FALSE(alone.empty());
   std::string multi = OneGraphBody();
-  multi.insert(multi.rfind("]}"), "," + OtherGraph());
+  std::string company = ",";
+  company += OtherGraph();
+  multi.insert(multi.rfind("]}"), company);
   const std::string batched =
       FirstRow(Body(Post(port_, "/v1/predict", multi)));
   EXPECT_EQ(alone, batched);
@@ -265,9 +269,8 @@ TEST_F(ServiceTest, OverloadGets503WithRetryAfter) {
       entered.set_value();
       release_future.wait();
     }
-    for (const Graph* g : graphs) {
-      rows->push_back(std::vector<float>(kHidden, 0.0f));
-    }
+    rows->insert(rows->end(), graphs.size(),
+                 std::vector<float>(kHidden, 0.0f));
     return Status::OK();
   };
   StartService(options, blocking);
