@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
             cfg.lipschitz_mode = mode;
             return std::make_unique<SgclTrainer>(cfg, seed);
           },
-          mutag, proto);
+          InMemorySource(&mutag), proto);
       std::printf("  %-18s %.2f ± %.2f\n",
                   mode == LipschitzMode::kExact ? "exact" : "attention-approx",
                   100.0 * acc.mean, 100.0 * acc.std);
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
             cfg.encoder.pooling = pooling;
             return std::make_unique<SgclTrainer>(cfg, seed);
           },
-          mutag, proto);
+          InMemorySource(&mutag), proto);
       std::printf("  %-5s %.2f ± %.2f\n", PoolingKindToString(pooling),
                   100.0 * acc.mean, 100.0 * acc.std);
     }

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
               sweep.apply(&cfg, v);
               return std::make_unique<SgclTrainer>(cfg, seed);
             },
-            data[d], proto);
+            InMemorySource(&data[d]), proto);
         sum += acc.mean;
       }
       std::printf("  %-8g -> %.2f\n", v,

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
             cfg.encoder.arch = arch;
             return std::make_unique<SgclTrainer>(cfg, seed);
           },
-          data[d], proto);
+          InMemorySource(&data[d]), proto);
       row.push_back(MeanStd{100.0 * acc.mean, 100.0 * acc.std});
       std::fprintf(stderr, "[%6.1fs] %s / %s = %.2f\n",
                    total.ElapsedSeconds(), arch_name.c_str(),

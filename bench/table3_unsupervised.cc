@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       for (int64_t i = 0; i < ds.size(); ++i) graphs.push_back(&ds.graph(i));
       std::vector<double> gram = kernel.GramMatrix(graphs);
       proto.base_seed = 10 * d;
-      MeanStd acc = RunKernelProtocol(gram, ds, proto);
+      MeanStd acc = RunKernelProtocol(gram, InMemorySource(&ds), proto);
       row.push_back(MeanStd{100.0 * acc.mean, 100.0 * acc.std});
       std::fprintf(stderr, "[%6.1fs] %s / %s = %.2f\n",
                    total.ElapsedSeconds(), kernel.name().c_str(),
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
           [&](uint64_t seed) {
             return MakeMethod(method, ds.feat_dim(), scale, seed);
           },
-          ds, proto);
+          InMemorySource(&ds), proto);
       row.push_back(MeanStd{100.0 * acc.mean, 100.0 * acc.std});
       std::fprintf(stderr, "[%6.1fs] %s / %s = %.2f\n",
                    total.ElapsedSeconds(), method.c_str(),

@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
   };
 
   std::printf("running SGCL...\n");
-  MeanStd sgcl_acc = RunUnsupervisedProtocol(make_sgcl, imdb, proto);
+  const InMemorySource source(&imdb);
+  MeanStd sgcl_acc = RunUnsupervisedProtocol(make_sgcl, source, proto);
   std::printf("running GraphCL...\n");
-  MeanStd graphcl_acc = RunUnsupervisedProtocol(make_graphcl, imdb, proto);
+  MeanStd graphcl_acc = RunUnsupervisedProtocol(make_graphcl, source, proto);
 
   std::printf("SVM accuracy (mean over %d seeds):\n", proto.num_seeds);
   std::printf("  SGCL    : %.2f%% ± %.2f%%\n", 100 * sgcl_acc.mean,

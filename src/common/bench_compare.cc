@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <map>
+#include <thread>
 
 #include "common/json.h"
+#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace sgcl {
@@ -132,6 +135,36 @@ Result<BenchHost> LoadBenchmarkHost(const std::string& path) {
   }
   host.build_type = context->GetString("library_build_type");
   return host;
+}
+
+Status WriteBenchJson(
+    const std::string& path, const std::string& library,
+    const std::vector<std::pair<std::string, double>>& entries_us,
+    const std::string& context_fields) {
+#ifdef NDEBUG
+  const char* build_type = "release";
+#else
+  const char* build_type = "debug";
+#endif
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) return Status::Internal("cannot write " + path);
+  out << "{\"context\":{\"library\":\"" << JsonEscape(library)
+      << "\",\"num_cpus\":" << std::thread::hardware_concurrency()
+      << ",\"library_build_type\":\"" << build_type << '"';
+  if (!context_fields.empty()) out << ',' << context_fields;
+  out << "},\"benchmarks\":[";
+  for (size_t i = 0; i < entries_us.size(); ++i) {
+    if (i > 0) out << ',';
+    const std::string name = JsonEscape(entries_us[i].first);
+    const std::string us = JsonDouble(entries_us[i].second);
+    out << "{\"name\":\"" << name << "\",\"run_name\":\"" << name
+        << "\",\"run_type\":\"iteration\",\"iterations\":1,\"real_time\":"
+        << us << ",\"cpu_time\":" << us << ",\"time_unit\":\"us\"}";
+  }
+  out << "]}\n";
+  out.flush();
+  if (!out) return Status::Internal("write failed for " + path);
+  return Status::OK();
 }
 
 std::string HostMismatchWarning(const BenchHost& base,

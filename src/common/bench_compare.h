@@ -1,5 +1,5 @@
-// Loading and diffing google-benchmark JSON result files — the library
-// half of tools/bench_diff, the CI perf-regression gate.
+// Loading, writing and diffing google-benchmark JSON result files — the
+// library half of tools/bench_diff, the CI perf-regression gate.
 //
 // Matching model: benchmarks pair by exact "name". Files written with
 // --benchmark_repetitions carry both per-repetition entries and
@@ -11,6 +11,7 @@
 #define SGCL_COMMON_BENCH_COMPARE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -63,6 +64,17 @@ struct BenchHost {
 };
 
 Result<BenchHost> LoadBenchmarkHost(const std::string& path);
+
+// Writes a google-benchmark JSON result file: one iteration row per
+// (name, microseconds) entry, and a "context" that names `library`,
+// records the host (num_cpus, library_build_type) and appends
+// `context_fields`, a run of comma-separated JSON members ("" for none).
+// Used by the repo's own bench tools so every committed BENCH_*.json
+// carries the host fields LoadBenchmarkHost reads.
+Status WriteBenchJson(
+    const std::string& path, const std::string& library,
+    const std::vector<std::pair<std::string, double>>& entries_us,
+    const std::string& context_fields);
 
 // One warning line naming both values of each host field that both
 // files record and that differs; "" when none does. Deltas between

@@ -202,7 +202,7 @@ void RegisterDiagnosticsHandlers(HttpServer* server,
         QueryInt(request.query, "min_duration_us", 0);
     const int64_t limit = QueryInt(request.query, "limit", 0);
     const bool detail = QueryInt(request.query, "detail", 0) != 0;
-    response.body = TraceRing::Global().ListJson(
+    response.body = TraceCollector::Global().ListJson(
         min_duration_us, static_cast<int>(limit), detail);
     return response;
   });
@@ -212,8 +212,9 @@ void RegisterDiagnosticsHandlers(HttpServer* server,
     const std::string id_text =
         request.path.substr(std::string("/v1/traces/").size());
     const uint64_t trace_id = ParseTraceId(id_text);
-    std::string tree =
-        trace_id == 0 ? std::string() : TraceRing::Global().TreeJson(trace_id);
+    std::string tree = trace_id == 0
+                           ? std::string()
+                           : TraceCollector::Global().TreeJson(trace_id);
     if (tree.empty()) {
       response.status = 404;
       response.body = StrFormat(

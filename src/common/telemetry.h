@@ -98,7 +98,7 @@ class RunStatusBoard {
 // Registers the shared diagnostics handlers — GET /metrics (Prometheus
 // text of the global registry), GET /healthz (JSON liveness stamped
 // with run id/version/uptime), and the GET /v1/traces[/<id>] views of
-// the global TraceRing — on any HttpServer. Used by both the
+// the global TraceCollector — on any HttpServer. Used by both the
 // telemetry endpoint and the inference service (serve/service.*) so
 // every HTTP surface in the process is scrapable the same way. `start`
 // anchors the reported uptime.

@@ -30,7 +30,9 @@ uint64_t MixTraceId(uint64_t x) {
   return x == 0 ? 1 : x;
 }
 
-void AppendSpanJson(const TraceRing::Span& s, std::string* out) {
+using Span = TraceCollector::Span;
+
+void AppendSpanJson(const Span& s, std::string* out) {
   *out += StrFormat(
       "{\"name\":\"%s\",\"span_id\":%llu,\"parent_span_id\":%llu,"
       "\"tid\":%d,\"start_us\":%lld,\"dur_us\":%lld}",
@@ -41,22 +43,22 @@ void AppendSpanJson(const TraceRing::Span& s, std::string* out) {
 
 // Emits one span-tree node: the span itself, its self time (duration not
 // covered by child spans), and its children ordered by start time.
-void AppendTreeNodeJson(const TraceRing::Span& node,
-                        const std::vector<const TraceRing::Span*>& spans,
+void AppendTreeNodeJson(const Span& node,
+                        const std::vector<const Span*>& spans,
                         int depth, std::string* out) {
-  std::vector<const TraceRing::Span*> children;
-  for (const TraceRing::Span* s : spans) {
+  std::vector<const Span*> children;
+  for (const Span* s : spans) {
     if (s->parent_span_id == node.span_id && s->span_id != node.span_id) {
       children.push_back(s);
     }
   }
   std::sort(children.begin(), children.end(),
-            [](const TraceRing::Span* a, const TraceRing::Span* b) {
+            [](const Span* a, const Span* b) {
               if (a->start_us != b->start_us) return a->start_us < b->start_us;
               return a->span_id < b->span_id;
             });
   int64_t child_us = 0;
-  for (const TraceRing::Span* c : children) child_us += c->dur_us;
+  for (const Span* c : children) child_us += c->dur_us;
   const int64_t self_us = std::max<int64_t>(0, node.dur_us - child_us);
   *out += StrFormat(
       "{\"name\":\"%s\",\"span_id\":%llu,\"tid\":%d,\"start_us\":%lld,"
@@ -67,7 +69,7 @@ void AppendTreeNodeJson(const TraceRing::Span& node,
       static_cast<long long>(node.dur_us), static_cast<long long>(self_us));
   if (depth < 64) {  // guard against malformed parent links
     bool first = true;
-    for (const TraceRing::Span* c : children) {
+    for (const Span* c : children) {
       if (!first) *out += ',';
       first = false;
       AppendTreeNodeJson(*c, spans, depth + 1, out);
@@ -106,36 +108,67 @@ ScopedTraceContext::~ScopedTraceContext() {
 }
 
 TraceCollector::TraceCollector()
-    : epoch_(std::chrono::steady_clock::now()) {}
+    : epoch_(std::chrono::steady_clock::now()),
+      dropped_spans_(
+          MetricsRegistry::Global().GetCounter("trace/dropped_spans")) {}
 
-void TraceCollector::Record(Event event) {
+void TraceCollector::Record(Span span) {
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(event));
+  StoreLocked(std::move(span));
+}
+
+void TraceCollector::StoreLocked(Span span) {
+  if (spans_.size() == kMaxSpans) {
+    spans_.pop_front();
+    dropped_spans_->Increment();
+  }
+  spans_.push_back(std::move(span));
+}
+
+void TraceCollector::Complete(Span span, bool chrome) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = span.trace_id == 0 ? pending_.end() : pending_.find(span.trace_id);
+  if (it == pending_.end()) {  // untraced, late or foreign span
+    if (chrome) StoreLocked(std::move(span));
+    return;
+  }
+  if (chrome) StoreLocked(span);
+  const bool is_root = span.parent_span_id == 0;
+  it->second.push_back(std::move(span));
+  if (is_root) CommitLocked(it->first);
 }
 
 void TraceCollector::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
+  spans_.clear();
+  completed_.clear();
+  pending_.clear();
+  committed_count_ = 0;
 }
 
-std::vector<TraceCollector::Event> TraceCollector::Events() const {
-  std::vector<Event> events;
+std::vector<TraceCollector::Span> TraceCollector::Events() const {
+  std::vector<Span> events;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    events = events_;
+    events.assign(spans_.begin(), spans_.end());
   }
   std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) {
+            [](const Span& a, const Span& b) {
               if (a.start_us != b.start_us) return a.start_us < b.start_us;
               return a.dur_us > b.dur_us;
             });
   return events;
 }
 
+size_t TraceCollector::span_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return spans_.size();
+}
+
 std::string TraceCollector::ToChromeTraceJson() const {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const Event& e : Events()) {
+  for (const Span& e : Events()) {
     if (!first) out += ',';
     first = false;
     out += StrFormat(
@@ -176,15 +209,7 @@ int64_t TraceCollector::NowUs() const {
 
 int TraceCollector::CurrentThreadId() { return AssignThreadId(); }
 
-TraceCollector& TraceCollector::Global() {
-  // NOLINTNEXTLINE(sgcl-R5): intentionally leaked singleton
-  static TraceCollector* collector = new TraceCollector();
-  return *collector;
-}
-
-TraceRing::TraceRing() = default;
-
-void TraceRing::SetSampleRate(double rate) {
+void TraceCollector::SetSampleRate(double rate) {
   uint64_t period = 0;
   if (rate > 0.0) {
     if (rate >= 1.0) {
@@ -197,23 +222,23 @@ void TraceRing::SetSampleRate(double rate) {
   period_.store(period, std::memory_order_relaxed);
 }
 
-double TraceRing::sample_rate() const {
+double TraceCollector::sample_rate() const {
   const uint64_t period = period_.load(std::memory_order_relaxed);
   return period == 0 ? 0.0 : 1.0 / static_cast<double>(period);
 }
 
-void TraceRing::SetCapacity(size_t capacity) {
+void TraceCollector::SetTraceCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<size_t>(1, capacity);
-  while (completed_.size() > capacity_) completed_.pop_front();
+  trace_capacity_ = std::max<size_t>(1, capacity);
+  while (completed_.size() > trace_capacity_) completed_.pop_front();
 }
 
-size_t TraceRing::capacity() const {
+size_t TraceCollector::trace_capacity() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
+  return trace_capacity_;
 }
 
-TraceContext TraceRing::MaybeStartTrace() {
+TraceContext TraceCollector::MaybeStartTrace() {
   const uint64_t period = period_.load(std::memory_order_relaxed);
   if (period == 0) return TraceContext{};
   const uint64_t n = admit_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -224,27 +249,18 @@ TraceContext TraceRing::MaybeStartTrace() {
     std::lock_guard<std::mutex> lock(mu_);
     // A caller that samples a trace but never opens a root span would
     // leak its pending entry; bound the in-flight set defensively.
-    if (pending_.size() >= capacity_ * 4 + 16) return TraceContext{};
+    if (pending_.size() >= trace_capacity_ * 4 + 16) return TraceContext{};
     pending_.emplace(id, std::vector<Span>());
   }
   return TraceContext{id, 0};
 }
 
-void TraceRing::RecordSpan(Span span) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pending_.find(span.trace_id);
-  if (it == pending_.end()) return;  // late or foreign span: drop
-  const bool is_root = span.parent_span_id == 0;
-  it->second.push_back(std::move(span));
-  if (is_root) CommitLocked(it->first);
-}
-
-uint64_t TraceRing::NextSpanId() {
+uint64_t TraceCollector::NextSpanId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-void TraceRing::CommitLocked(uint64_t trace_id) {
+void TraceCollector::CommitLocked(uint64_t trace_id) {
   auto it = pending_.find(trace_id);
   if (it == pending_.end()) return;
   Trace trace;
@@ -261,34 +277,27 @@ void TraceRing::CommitLocked(uint64_t trace_id) {
   pending_.erase(it);
   completed_.push_back(std::move(trace));
   ++committed_count_;
-  while (completed_.size() > capacity_) completed_.pop_front();
+  while (completed_.size() > trace_capacity_) completed_.pop_front();
 }
 
-std::vector<TraceRing::Trace> TraceRing::Traces() const {
+std::vector<TraceCollector::Trace> TraceCollector::Traces() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Trace> out(completed_.rbegin(), completed_.rend());
   return out;
 }
 
-uint64_t TraceRing::committed_count() const {
+uint64_t TraceCollector::committed_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return committed_count_;
 }
 
-void TraceRing::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  completed_.clear();
-  pending_.clear();
-  committed_count_ = 0;
-}
-
-std::string TraceRing::ListJson(int64_t min_duration_us, int limit,
-                                bool include_spans) const {
+std::string TraceCollector::ListJson(int64_t min_duration_us, int limit,
+                                     bool include_spans) const {
   std::vector<Trace> traces = Traces();
   std::string out = StrFormat(
       "{\"capacity\":%llu,\"committed\":%llu,\"sample_rate\":%s,"
       "\"traces\":[",
-      static_cast<unsigned long long>(capacity()),
+      static_cast<unsigned long long>(trace_capacity()),
       static_cast<unsigned long long>(committed_count()),
       JsonDouble(sample_rate()).c_str());
   bool first = true;
@@ -319,7 +328,7 @@ std::string TraceRing::ListJson(int64_t min_duration_us, int limit,
   return out;
 }
 
-std::string TraceRing::TreeJson(uint64_t trace_id) const {
+std::string TraceCollector::TreeJson(uint64_t trace_id) const {
   Trace trace;
   bool found = false;
   {
@@ -333,7 +342,7 @@ std::string TraceRing::TreeJson(uint64_t trace_id) const {
     }
   }
   if (!found) return std::string();
-  const TraceRing::Span* root = nullptr;
+  const Span* root = nullptr;
   std::vector<const Span*> spans;
   spans.reserve(trace.spans.size());
   for (const Span& s : trace.spans) {
@@ -351,10 +360,10 @@ std::string TraceRing::TreeJson(uint64_t trace_id) const {
   return out;
 }
 
-TraceRing& TraceRing::Global() {
+TraceCollector& TraceCollector::Global() {
   // NOLINTNEXTLINE(sgcl-R5): intentionally leaked singleton
-  static TraceRing* ring = new TraceRing();
-  return *ring;
+  static TraceCollector* collector = new TraceCollector();
+  return *collector;
 }
 
 uint64_t RecordManualSpan(const char* name, TraceContext parent,
@@ -363,30 +372,16 @@ uint64_t RecordManualSpan(const char* name, TraceContext parent,
   // A parent span id of 0 would make this span look like a trace root
   // (committing the trace); manual spans must nest under a real span.
   if (!parent.valid() || parent.span_id == 0) return 0;
-  if (span_id == 0) span_id = TraceRing::NextSpanId();
-  const int64_t dur_us = std::max<int64_t>(0, end_us - start_us);
-  const int tid = TraceCollector::CurrentThreadId();
+  if (span_id == 0) span_id = TraceCollector::NextSpanId();
   TraceCollector& collector = TraceCollector::Global();
-  if (collector.enabled()) {
-    TraceCollector::Event event;
-    event.name = name;
-    event.tid = tid;
-    event.start_us = start_us;
-    event.dur_us = dur_us;
-    event.trace_id = parent.trace_id;
-    event.span_id = span_id;
-    event.parent_span_id = parent.span_id;
-    collector.Record(std::move(event));
-  }
-  TraceRing::Span span;
-  span.name = name;
-  span.trace_id = parent.trace_id;
-  span.span_id = span_id;
-  span.parent_span_id = parent.span_id;
-  span.tid = tid;
-  span.start_us = start_us;
-  span.dur_us = dur_us;
-  TraceRing::Global().RecordSpan(std::move(span));
+  collector.Complete({.name = name,
+                      .tid = TraceCollector::CurrentThreadId(),
+                      .start_us = start_us,
+                      .dur_us = std::max<int64_t>(0, end_us - start_us),
+                      .trace_id = parent.trace_id,
+                      .span_id = span_id,
+                      .parent_span_id = parent.span_id},
+                     collector.enabled());
   return span_id;
 }
 
@@ -397,7 +392,7 @@ TraceSpan::TraceSpan(const char* name, Counter* time_counter)
   if (ambient.trace_id != 0) {
     trace_id_ = ambient.trace_id;
     parent_span_id_ = ambient.span_id;
-    span_id_ = TraceRing::NextSpanId();
+    span_id_ = TraceCollector::NextSpanId();
     t_ambient_context = TraceContext{trace_id_, span_id_};
   }
   if (chrome_ || trace_id_ != 0 || counter_ != nullptr) {
@@ -413,33 +408,18 @@ TraceSpan::~TraceSpan() {
   TraceCollector& collector = TraceCollector::Global();
   const int64_t end_us = collector.NowUs();
   if (counter_ != nullptr) counter_->Increment(end_us - start_us_);
-  const int tid = (chrome_ && collector.enabled()) || trace_id_ != 0
-                      ? TraceCollector::CurrentThreadId()
-                      : 0;
   // Spans that began before Enable() (or after a disable) are dropped
   // rather than recorded with a bogus duration.
-  if (chrome_ && collector.enabled()) {
-    TraceCollector::Event event;
-    event.name = name_;
-    event.tid = tid;
-    event.start_us = start_us_;
-    event.dur_us = end_us - start_us_;
-    event.trace_id = trace_id_;
-    event.span_id = span_id_;
-    event.parent_span_id = parent_span_id_;
-    collector.Record(std::move(event));
-  }
-  if (trace_id_ != 0) {
-    TraceRing::Span span;
-    span.name = name_;
-    span.trace_id = trace_id_;
-    span.span_id = span_id_;
-    span.parent_span_id = parent_span_id_;
-    span.tid = tid;
-    span.start_us = start_us_;
-    span.dur_us = end_us - start_us_;
-    TraceRing::Global().RecordSpan(std::move(span));
-  }
+  const bool chrome = chrome_ && collector.enabled();
+  if (!chrome && trace_id_ == 0) return;
+  collector.Complete({.name = name_,
+                      .tid = TraceCollector::CurrentThreadId(),
+                      .start_us = start_us_,
+                      .dur_us = end_us - start_us_,
+                      .trace_id = trace_id_,
+                      .span_id = span_id_,
+                      .parent_span_id = parent_span_id_},
+                     chrome);
 }
 
 }  // namespace sgcl

@@ -1,6 +1,6 @@
-// Scoped trace spans exported as chrome://tracing "trace event" JSON,
-// plus request-scoped trace trees collected into a bounded in-memory
-// ring buffer (served live at /v1/traces).
+// Scoped trace spans, kept by one bounded sink (TraceCollector) that
+// exports them as chrome://tracing "trace event" JSON and assembles
+// request-scoped trace trees for /v1/traces.
 //
 // Usage at an instrumentation site:
 //   void Stage() {
@@ -11,27 +11,31 @@
 // (the "time/<stage>_us" convention consumed by SgclTrainer):
 //   SGCL_TRACE_SPAN_TIMED("generator");   // counter "time/generator_us"
 //
-// Two independent sinks consume spans:
+// Every completed span takes one record path into TraceCollector, which
+// keeps two views of it:
 //
-//  1. TraceCollector — the chrome-trace file exporter from PR 2.
-//     Off by default; Enable(true) + WriteChromeTrace() produces a file
-//     loadable by chrome://tracing / Perfetto.
+//  1. The chrome store. Off by default; Enable(true) records spans and
+//     WriteChromeTrace() produces a file loadable by chrome://tracing /
+//     Perfetto. It holds the newest kMaxSpans (65536) spans: a full
+//     store evicts its oldest span and counts it in the
+//     "trace/dropped_spans" counter, so no run grows it without bound.
 //
-//  2. TraceRing — an always-on bounded ring of *sampled* request/batch
-//     traces. A root is opened with TraceRing::MaybeStartTrace() (a
-//     deterministic every-Nth sampler; rate 0 disables), installed as
-//     the thread's ambient TraceContext via ScopedTraceContext, and
-//     every TraceSpan that runs under an ambient context becomes a node
-//     in that trace's span tree (64-bit trace id + parent span id).
-//     When the root span closes, the assembled tree is committed to the
-//     ring (oldest trace evicted) and is queryable as JSON.
+//  2. The sampled-trace index, always on. A root is opened with
+//     MaybeStartTrace() (a deterministic every-Nth sampler; rate 0
+//     disables), installed as the thread's ambient TraceContext via
+//     ScopedTraceContext, and every TraceSpan that runs under an ambient
+//     context becomes a node in that trace's span tree (64-bit trace id
+//     + parent span id). When the root span closes, the assembled tree
+//     is committed to a ring of trace_capacity() trees (oldest evicted)
+//     and is queryable as JSON. It works whether or not the chrome
+//     store is enabled.
 //
 // Crossing a thread boundary is explicit: capture CurrentTraceContext()
 // on the submitting side, install it with ScopedTraceContext inside the
 // worker. Nothing is propagated implicitly through thread pools.
 //
 // Cost when disabled: a disabled span costs one relaxed atomic load for
-// the chrome collector plus one thread-local read for the ambient
+// the chrome store plus one thread-local read for the ambient
 // context, and no clock reads (TIMED spans keep feeding their counter
 // either way — metrics are always-on). MaybeStartTrace with rate 0 is
 // one relaxed load.
@@ -94,10 +98,11 @@ class ScopedTraceContext {
   bool installed_ = false;
 };
 
-// Process-wide sink for completed spans (chrome-trace export). Thread-safe.
+// The process-wide sink for completed spans: the chrome store and the
+// sampled-trace index of the file comment, under one lock. Thread-safe.
 class TraceCollector {
  public:
-  struct Event {
+  struct Span {
     std::string name;
     int tid = 0;
     int64_t start_us = 0;  // relative to the collector's epoch
@@ -107,8 +112,22 @@ class TraceCollector {
     // rebuild the tree from the file.
     uint64_t trace_id = 0;
     uint64_t span_id = 0;
-    uint64_t parent_span_id = 0;
+    uint64_t parent_span_id = 0;  // 0 == root
   };
+  // The chrome store's name for a span; external probes build these.
+  using Event = Span;
+
+  struct Trace {
+    uint64_t trace_id = 0;
+    std::string root_name;
+    int64_t start_us = 0;
+    int64_t dur_us = 0;        // root span duration
+    std::vector<Span> spans;   // includes the root, completion order
+  };
+
+  // Chrome-store capacity in spans. A full store evicts its oldest span
+  // and counts it in the "trace/dropped_spans" counter.
+  static constexpr size_t kMaxSpans = 65536;
 
   TraceCollector();
   TraceCollector(const TraceCollector&) = delete;
@@ -117,12 +136,17 @@ class TraceCollector {
   void Enable(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  void Record(Event event);
+  // Stores a span in the chrome store, enabled or not: callers that time
+  // their own spans decide themselves whether to record.
+  void Record(Span span);
+  // Drops the chrome store, the completed traces and the in-flight ones.
   void Clear();
 
-  // Copy of all recorded events, ordered by (start_us, dur_us desc) so a
+  // Copy of the chrome store, ordered by (start_us, dur_us desc) so a
   // parent span sorts before the children it encloses.
-  std::vector<Event> Events() const;
+  std::vector<Span> Events() const;
+  // Number of spans in the chrome store (no copy).
+  size_t span_count() const;
 
   // {"traceEvents":[...],"displayTimeUnit":"ms"} with one "ph":"X"
   // complete event per span.
@@ -134,63 +158,22 @@ class TraceCollector {
   // Dense id of the calling thread, assigned on first use.
   static int CurrentThreadId();
 
-  static TraceCollector& Global();
-
- private:
-  std::atomic<bool> enabled_{false};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<Event> events_ SGCL_GUARDED_BY(mu_);
-};
-
-// Bounded ring of completed sampled traces. Always on (capacity bounds
-// memory); sampling rate controls how many roots open. Thread-safe.
-class TraceRing {
- public:
-  struct Span {
-    std::string name;
-    uint64_t trace_id = 0;
-    uint64_t span_id = 0;
-    uint64_t parent_span_id = 0;  // 0 == root
-    int tid = 0;
-    int64_t start_us = 0;
-    int64_t dur_us = 0;
-  };
-
-  struct Trace {
-    uint64_t trace_id = 0;
-    std::string root_name;
-    int64_t start_us = 0;
-    int64_t dur_us = 0;        // root span duration
-    std::vector<Span> spans;   // includes the root, completion order
-  };
-
-  TraceRing();
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
   // Sampling: rate in [0,1]; 0 disables. Implemented as a deterministic
   // every-Nth admission (period = round(1/rate)) off a relaxed atomic
   // counter — no RNG, so sampled runs stay reproducible (sgcl-R2).
   void SetSampleRate(double rate);
   double sample_rate() const;
 
-  // Ring capacity in completed traces (default 256; minimum 1).
-  void SetCapacity(size_t capacity);
-  size_t capacity() const;
+  // Capacity of the sampled-trace ring in completed traces (default 256;
+  // minimum 1).
+  void SetTraceCapacity(size_t capacity);
+  size_t trace_capacity() const;
 
   // Opens a new trace if the sampler admits this call. The returned
   // context has span_id == 0: the first TraceSpan run under it becomes
-  // the trace's root, and its completion commits the trace to the ring.
+  // the trace's root, and its completion commits the trace.
   // Returns an invalid context (trace_id 0) when not sampled.
   TraceContext MaybeStartTrace();
-
-  // Appends a completed span to its (open) trace; called by TraceSpan
-  // and by instrumentation that synthesizes spans with explicit
-  // timestamps (e.g. the micro-batcher's queue_wait). Spans for unknown
-  // or already-committed traces are dropped. A span with
-  // parent_span_id == 0 commits the trace.
-  void RecordSpan(Span span);
 
   // Fresh span id (process-wide, never 0).
   static uint64_t NextSpanId();
@@ -200,7 +183,6 @@ class TraceRing {
   // Number of traces committed since construction/Clear (not capped by
   // capacity — used by tests and /v1/traces metadata).
   uint64_t committed_count() const;
-  void Clear();  // drops completed traces and in-flight span buffers
 
   // JSON for /v1/traces: newest-first summaries filtered by
   // min_duration_us, capped at limit (<=0 means no cap). When
@@ -211,17 +193,32 @@ class TraceRing {
   // JSON span tree for /v1/traces/<id>; empty string when unknown.
   std::string TreeJson(uint64_t trace_id) const;
 
-  static TraceRing& Global();
+  static TraceCollector& Global();
 
  private:
+  friend class TraceSpan;
+  friend uint64_t RecordManualSpan(const char* name, TraceContext parent,
+                                   int64_t start_us, int64_t end_us,
+                                   uint64_t span_id);
+
+  // The one record path for completed spans: stores `span` in the
+  // chrome store when `chrome` is set, and appends it to its open
+  // sampled trace when it has one (late or foreign trace ids are
+  // dropped); a span with parent_span_id == 0 commits its trace.
+  void Complete(Span span, bool chrome);
+  void StoreLocked(Span span) SGCL_REQUIRES(mu_);
   void CommitLocked(uint64_t trace_id) SGCL_REQUIRES(mu_);
 
+  std::atomic<bool> enabled_{false};
+  std::chrono::steady_clock::time_point epoch_;
+  Counter* const dropped_spans_;
   std::atomic<uint64_t> period_{0};      // 0 == sampling off
   std::atomic<uint64_t> admit_seq_{0};   // every-Nth admission counter
   std::atomic<uint64_t> trace_seq_{0};   // mixed into trace ids
 
   mutable std::mutex mu_;
-  size_t capacity_ SGCL_GUARDED_BY(mu_) = 256;
+  std::deque<Span> spans_ SGCL_GUARDED_BY(mu_);  // chrome store, oldest first
+  size_t trace_capacity_ SGCL_GUARDED_BY(mu_) = 256;
   uint64_t committed_count_ SGCL_GUARDED_BY(mu_) = 0;
   std::deque<Trace> completed_ SGCL_GUARDED_BY(mu_);  // oldest at front
   // In-flight traces: spans buffered until the root span closes. A
@@ -235,9 +232,9 @@ class TraceRing {
 // µs, i.e. TraceCollector::NowUs values) as a child of `parent`. Used
 // by instrumentation that reconstructs phases after the fact (the
 // micro-batcher's per-request queue_wait/batch_form/forward). Feeds the
-// chrome collector (when enabled) and the trace ring; no-op returning 0
+// chrome store (when enabled) and the sampled trace; no-op returning 0
 // when `parent` is invalid. Returns the span's id. Passing a nonzero
-// `span_id` (from TraceRing::NextSpanId) uses it instead of allocating;
+// `span_id` (from TraceCollector::NextSpanId) uses it instead of allocating;
 // this lets callers pre-allocate an id, run nested work under
 // ScopedTraceContext{trace_id, span_id}, and record the enclosing span
 // afterwards with the children already pointing at it.
@@ -248,7 +245,7 @@ uint64_t RecordManualSpan(const char* name, TraceContext parent,
 // RAII span. When `time_counter` is non-null the scope's duration is
 // always added to it (in µs); the chrome trace event is only recorded
 // while the global collector is enabled, and the span only joins a
-// TraceRing trace when the thread's ambient TraceContext is valid (in
+// sampled trace when the thread's ambient TraceContext is valid (in
 // which case the span also becomes the ambient parent for its scope).
 class TraceSpan {
  public:
@@ -266,8 +263,8 @@ class TraceSpan {
  private:
   const char* name_;
   Counter* counter_;
-  bool chrome_ = false;       // record into TraceCollector on close
-  uint64_t trace_id_ = 0;     // nonzero => part of a ring trace
+  bool chrome_ = false;       // record into the chrome store on close
+  uint64_t trace_id_ = 0;     // nonzero => part of a sampled trace
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
   int64_t start_us_ = 0;

@@ -121,20 +121,30 @@ Tensor SgclModel::ComputeLoss(const std::vector<const Graph*>& graphs,
     z_anchor = projection_->Forward(anchor_pooled);
   }
 
-  // --- Losses (Eq. 24-27). ---
-  SGCL_TRACE_SPAN_TIMED("loss");
-  Tensor loss = SemanticInfoNceLoss(z_anchor, z_sample, config_.tau);
+  // --- Losses (Eq. 24-27). The encoder passes the losses need run
+  // under "encode", so "loss" times only the loss math; the tape order
+  // of the ops is the same as with one span around all of it. ---
+  Tensor loss;
+  {
+    SGCL_TRACE_SPAN_TIMED("loss");
+    loss = SemanticInfoNceLoss(z_anchor, z_sample, config_.tau);
+  }
   // Generator-tower objective: the paper trains f_q jointly but leaves
   // its gradient path implicit; Lipschitz constants are only meaningful
   // under a *discriminative* f_q (Definition 5 presumes the encoder
   // separates graphs), so f_q receives the same InfoNCE applied to its
   // own pooled representations of anchor vs. sample view.
   if (config_.generator_loss_weight > 0.0f) {
-    Tensor q_anchor = Pool(h_q_nodes, batch, config_.encoder.pooling);
-    Tensor q_view_nodes = f_q_->EncodeNodes(sample_batch.features,
-                                            sample_batch);
-    Tensor q_view = Pool(MulBroadcastCol(q_view_nodes, w_sample), batch,
-                         config_.encoder.pooling);
+    Tensor q_anchor, q_view;
+    {
+      SGCL_TRACE_SPAN_TIMED("encode");
+      q_anchor = Pool(h_q_nodes, batch, config_.encoder.pooling);
+      Tensor q_view_nodes = f_q_->EncodeNodes(sample_batch.features,
+                                              sample_batch);
+      q_view = Pool(MulBroadcastCol(q_view_nodes, w_sample), batch,
+                    config_.encoder.pooling);
+    }
+    SGCL_TRACE_SPAN_TIMED("loss");
     loss = Add(loss,
                MulScalar(SemanticInfoNceLoss(q_anchor, q_view, config_.tau),
                          config_.generator_loss_weight));
@@ -143,18 +153,25 @@ Tensor SgclModel::ComputeLoss(const std::vector<const Graph*>& graphs,
   local.semantic = loss.item();
   if (config_.lambda_c > 0.0f) {
     // Complement view Ĝ^c (Eq. 20 / 23).
-    GraphBatch comp_batch = MaskBatch(batch, keep_complement);
-    Tensor comp_nodes = f_k_->EncodeNodes(comp_batch.features, comp_batch);
-    Tensor w_comp = mask_to_tensor(keep_complement);
-    if (learnable) w_comp = Mul(w_comp, AddScalar(Neg(p), 1.0f));
-    Tensor z_comp = projection_->Forward(
-        Pool(MulBroadcastCol(comp_nodes, w_comp), batch,
-             config_.encoder.pooling));
+    Tensor z_comp;
+    {
+      SGCL_TRACE_SPAN_TIMED("encode");
+      GraphBatch comp_batch = MaskBatch(batch, keep_complement);
+      Tensor comp_nodes =
+          f_k_->EncodeNodes(comp_batch.features, comp_batch);
+      Tensor w_comp = mask_to_tensor(keep_complement);
+      if (learnable) w_comp = Mul(w_comp, AddScalar(Neg(p), 1.0f));
+      z_comp = projection_->Forward(
+          Pool(MulBroadcastCol(comp_nodes, w_comp), batch,
+               config_.encoder.pooling));
+    }
+    SGCL_TRACE_SPAN_TIMED("loss");
     Tensor lc = ComplementLoss(z_anchor, z_sample, z_comp, config_.tau);
     local.complement = lc.item();
     loss = Add(loss, MulScalar(lc, config_.lambda_c));
   }
   if (config_.lambda_w > 0.0f) {
+    SGCL_TRACE_SPAN_TIMED("loss");
     // Θ_W over the generator tower (the W of Theorem 1): f_q weights and
     // the probability head.
     std::vector<Tensor> weights = f_q_->Parameters();

@@ -512,7 +512,7 @@ Result<PretrainStats> Pretrainer::RunRounds(
       // distributed path the all-reduce wait) nest under it. Sampling
       // never touches rng_ (deterministic atomic counter), so losses
       // are bitwise-independent of the rate.
-      const TraceContext batch_trace = TraceRing::Global().MaybeStartTrace();
+      const TraceContext batch_trace = TraceCollector::Global().MaybeStartTrace();
       ScopedTraceContext batch_trace_install(batch_trace);
       SGCL_TRACE_SPAN("train/batch");
       if (global_round >= cached_through) {

@@ -37,15 +37,6 @@ MeanStd RunUnsupervisedProtocol(
   return ComputeMeanStd(per_seed);
 }
 
-MeanStd RunUnsupervisedProtocol(
-    const std::function<std::unique_ptr<Pretrainer>(uint64_t seed)>&
-        make_pretrainer,
-    const GraphDataset& dataset,
-    const UnsupervisedProtocolOptions& options) {
-  const InMemorySource source(&dataset);
-  return RunUnsupervisedProtocol(make_pretrainer, source, options);
-}
-
 MeanStd RunKernelProtocol(const std::vector<double>& gram,
                           const GraphSource& source,
                           const UnsupervisedProtocolOptions& options) {
@@ -60,13 +51,6 @@ MeanStd RunKernelProtocol(const std::vector<double>& gram,
     per_seed.push_back(cv.mean);
   }
   return ComputeMeanStd(per_seed);
-}
-
-MeanStd RunKernelProtocol(const std::vector<double>& gram,
-                          const GraphDataset& dataset,
-                          const UnsupervisedProtocolOptions& options) {
-  const InMemorySource source(&dataset);
-  return RunKernelProtocol(gram, source, options);
 }
 
 MeanStd RunTransferProtocol(

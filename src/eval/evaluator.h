@@ -25,25 +25,16 @@ struct UnsupervisedProtocolOptions {
 // embeddings; aggregate mean/std over seeds. `make_pretrainer` builds a
 // fresh method instance for a given seed. The source may be in-memory or
 // a sharded on-disk store; batches stream through GraphSource::Fetch.
+// In-memory callers pass a borrowed InMemorySource(&dataset).
 MeanStd RunUnsupervisedProtocol(
     const std::function<std::unique_ptr<Pretrainer>(uint64_t seed)>&
         make_pretrainer,
     const GraphSource& source, const UnsupervisedProtocolOptions& options);
 
-// In-memory convenience overload (borrowing InMemorySource for the call).
-MeanStd RunUnsupervisedProtocol(
-    const std::function<std::unique_ptr<Pretrainer>(uint64_t seed)>&
-        make_pretrainer,
-    const GraphDataset& dataset, const UnsupervisedProtocolOptions& options);
-
 // Graph-kernel protocol: a kernel SVM CV on the precomputed Gram matrix,
 // repeated over fold seeds.
 MeanStd RunKernelProtocol(const std::vector<double>& gram,
                           const GraphSource& source,
-                          const UnsupervisedProtocolOptions& options);
-
-MeanStd RunKernelProtocol(const std::vector<double>& gram,
-                          const GraphDataset& dataset,
                           const UnsupervisedProtocolOptions& options);
 
 struct TransferProtocolOptions {

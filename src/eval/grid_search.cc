@@ -70,7 +70,7 @@ std::function<double(const SgclConfig&)> MakeUnsupervisedGridEvaluator(
         [&](uint64_t seed) {
           return std::make_unique<SgclTrainer>(config, seed);
         },
-        *dataset, proto);
+        InMemorySource(dataset), proto);
     return acc.mean;
   };
 }

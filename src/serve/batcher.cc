@@ -216,7 +216,7 @@ void MicroBatcher::RunBatch(std::vector<Pending*> batch,
   TraceContext forward_ctx;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (!batch[i]->trace_ctx.valid()) continue;
-    forward_span_ids[i] = TraceRing::NextSpanId();
+    forward_span_ids[i] = TraceCollector::NextSpanId();
     if (!forward_ctx.valid()) {
       forward_ctx =
           TraceContext{batch[i]->trace_ctx.trace_id, forward_span_ids[i]};

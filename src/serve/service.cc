@@ -80,8 +80,8 @@ ServeService::~ServeService() { Stop(); }
 
 Status ServeService::Start() {
   start_ = std::chrono::steady_clock::now();
-  TraceRing::Global().SetSampleRate(options_.trace_sample_rate);
-  TraceRing::Global().SetCapacity(
+  TraceCollector::Global().SetSampleRate(options_.trace_sample_rate);
+  TraceCollector::Global().SetTraceCapacity(
       static_cast<size_t>(std::max<int64_t>(1, options_.trace_ring_size)));
   SGCL_RETURN_NOT_OK(embed_batcher_->Start());
   SGCL_RETURN_NOT_OK(predict_batcher_->Start());
@@ -147,7 +147,7 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
   // formation, forward, encode) hangs off it. The id goes back to the
   // client in X-Sgcl-Trace and onto the latency exemplar so a p99
   // bucket in /metrics resolves to a /v1/traces/<id> lookup.
-  const TraceContext root_ctx = TraceRing::Global().MaybeStartTrace();
+  const TraceContext root_ctx = TraceCollector::Global().MaybeStartTrace();
   const uint64_t trace_id = root_ctx.trace_id;
   ScopedTraceContext trace_install(root_ctx);
   HttpResponse response;
@@ -184,7 +184,7 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
             FormatRowsResponse(response_key, *rows, dim_or_negative);
       }
     }
-  }  // root span closes here, committing the trace to the ring
+  }  // root span closes here, committing the trace
   latency->ObserveWithExemplar(
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(

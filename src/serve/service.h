@@ -43,8 +43,8 @@ struct ServeOptions {
   // Retry-After value (seconds) attached to 503 overload responses.
   int retry_after_s = 1;
   // Request tracing: fraction of requests sampled into the global
-  // TraceRing (deterministic every-Nth; 0 = off) and the ring's
-  // capacity in traces. A sampled request's span tree is queryable at
+  // TraceCollector's trace index (deterministic every-Nth; 0 = off) and
+  // the index's capacity in traces. A sampled request's span tree is queryable at
   // /v1/traces/<id>; the id is echoed in an X-Sgcl-Trace response
   // header and stamped on latency-histogram exemplars.
   double trace_sample_rate = 0.0;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -195,6 +197,49 @@ TEST_F(BenchCompareTest, LoadsHostFromContext) {
   ASSERT_TRUE(host.ok()) << host.status().ToString();
   EXPECT_EQ(host->num_cpus, "1");
   EXPECT_EQ(host->build_type, "");
+}
+
+TEST_F(BenchCompareTest, WriteBenchJsonRecordsHostAndRows) {
+  const std::string path = Tmp("bench_written.json");
+  ASSERT_TRUE(WriteBenchJson(path, "unit_test",
+                             {{"suite/a", 12.5}, {"suite/b", 3.0}},
+                             "\"graphs\":7")
+                  .ok());
+  auto entries = LoadBenchmarkJson(path);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 2u);
+  EXPECT_EQ((*entries)[0].name, "suite/a");
+  EXPECT_DOUBLE_EQ((*entries)[0].real_ns, 12500.0);
+  auto host = LoadBenchmarkHost(path);
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  EXPECT_FALSE(host->num_cpus.empty());
+  EXPECT_FALSE(host->build_type.empty());
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"library\":\"unit_test\""), std::string::npos);
+  EXPECT_NE(text.find("\"graphs\":7"), std::string::npos);
+}
+
+TEST_F(BenchCompareTest, CommittedBenchFilesRecordTheirHost) {
+  // bench_diff's host warning can only fire for files that record the
+  // host, so every committed baseline at the repo root must.
+  const std::filesystem::path root =
+      std::filesystem::path(SGCL_TESTDATA_DIR).parent_path().parent_path();
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(root)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json") {
+      continue;
+    }
+    ++files;
+    auto host = LoadBenchmarkHost(entry.path().string());
+    ASSERT_TRUE(host.ok()) << name << ": " << host.status().ToString();
+    EXPECT_FALSE(host->num_cpus.empty()) << name << " has no num_cpus";
+    EXPECT_FALSE(host->build_type.empty())
+        << name << " has no library_build_type";
+  }
+  EXPECT_GT(files, 0) << "no BENCH_*.json under " << root;
 }
 
 TEST_F(BenchCompareTest, HostMismatchNamesBothValues) {

@@ -212,10 +212,10 @@ TEST(TelemetryServerTest, ConcurrentScrapesDuringMetricWrites) {
 }
 
 TEST(TelemetryServerTest, TraceEndpointsServeSampledTraces) {
-  TraceRing::Global().SetSampleRate(1.0);
-  TraceRing::Global().SetCapacity(8);
-  TraceRing::Global().Clear();
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  TraceCollector::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetTraceCapacity(8);
+  TraceCollector::Global().Clear();
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
   ASSERT_TRUE(ctx.valid());
   {
     ScopedTraceContext install(ctx);
@@ -258,8 +258,8 @@ TEST(TelemetryServerTest, TraceEndpointsServeSampledTraces) {
   EXPECT_NE(malformed.find("unknown trace"), std::string::npos);
 
   server.Stop();
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
 }
 
 TEST(GenerateRunIdTest, IdsAreUniqueAndPrefixed) {

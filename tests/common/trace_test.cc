@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -161,24 +162,157 @@ TEST_F(TraceTest, ClearDropsEvents) {
   EXPECT_TRUE(TraceCollector::Global().Events().empty());
 }
 
-// TraceRing tests run with the chrome collector off (the ring is an
-// independent sink); each test resets the global ring's sampling,
-// capacity, and contents so tests are order-independent.
+TraceCollector::Span MakeSpan(const char* name, int tid, int64_t start_us,
+                              int64_t dur_us, uint64_t trace_id = 0,
+                              uint64_t span_id = 0,
+                              uint64_t parent_span_id = 0) {
+  TraceCollector::Span span;
+  span.name = name;
+  span.tid = tid;
+  span.start_us = start_us;
+  span.dur_us = dur_us;
+  span.trace_id = trace_id;
+  span.span_id = span_id;
+  span.parent_span_id = parent_span_id;
+  return span;
+}
+
+TEST_F(TraceTest, RecordStoresWhileDisabled) {
+  // External probes time their own spans and never call Enable.
+  TraceCollector::Global().Enable(false);
+  TraceCollector::Global().Record(MakeSpan("probe/stage", 0, 5, 7));
+  const auto events = TraceCollector::Global().Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "probe/stage");
+  EXPECT_EQ(TraceCollector::Global().span_count(), 1u);
+}
+
+TEST_F(TraceTest, FullStoreKeepsNewestSpansAndCountsDrops) {
+  Counter* dropped =
+      MetricsRegistry::Global().GetCounter("trace/dropped_spans");
+  dropped->Reset();
+  constexpr size_t kCapacity = TraceCollector::kMaxSpans;
+  constexpr int64_t kExtra = 5;
+  TraceCollector& collector = TraceCollector::Global();
+  for (int64_t i = 0; i < static_cast<int64_t>(kCapacity) + kExtra; ++i) {
+    collector.Record(MakeSpan("fill", 0, i, 1));
+  }
+  EXPECT_EQ(collector.span_count(), kCapacity);
+  EXPECT_EQ(dropped->value(), kExtra);
+  const auto events = collector.Events();
+  ASSERT_EQ(events.size(), kCapacity);
+  EXPECT_EQ(events.front().start_us, kExtra);
+  EXPECT_EQ(events.back().start_us,
+            static_cast<int64_t>(kCapacity) + kExtra - 1);
+}
+
+// Pins the chrome JSON byte for byte: the order of Events() and every
+// field are the file format that chrome://tracing and trace_report read.
+TEST_F(TraceTest, ChromeJsonMatchesGolden) {
+  TraceCollector& collector = TraceCollector::Global();
+  // Fixed spans, recorded out of order with ties on start time, trace
+  // args and names that need escaping.
+  const uint64_t trace = 0xabcdef0123456789ULL;
+  collector.Record(MakeSpan("train/batch", 0, 100, 900, trace, 11, 0));
+  collector.Record(MakeSpan("loss", 0, 700, 250, trace, 14, 11));
+  collector.Record(MakeSpan("encode", 0, 400, 300, trace, 13, 11));
+  collector.Record(MakeSpan("generator", 0, 100, 300, trace, 12, 11));
+  collector.Record(MakeSpan("pool/chunk \"q\"\\", 2, 150, 20));
+  collector.Record(MakeSpan("pool/chunk", 1, 150, 40));
+  collector.Record(MakeSpan("io/read\n", 3, 0, 0));
+  EXPECT_EQ(collector.ToChromeTraceJson(),
+    R"({"traceEvents":[{"name":"io/read\n","cat":"sgcl","ph":"X","ts":0,")"
+    R"(dur":0,"pid":0,"tid":3},{"name":"train/batch","cat":"sgcl","ph":"X)"
+    R"(","ts":100,"dur":900,"pid":0,"tid":0,"args":{"trace_id":"abcdef012)"
+    R"(3456789","span_id":11,"parent_span_id":0}},{"name":"generator","ca)"
+    R"(t":"sgcl","ph":"X","ts":100,"dur":300,"pid":0,"tid":0,"args":{"tra)"
+    R"(ce_id":"abcdef0123456789","span_id":12,"parent_span_id":11}},{"nam)"
+    R"(e":"pool/chunk","cat":"sgcl","ph":"X","ts":150,"dur":40,"pid":0,"t)"
+    R"(id":1},{"name":"pool/chunk \"q\"\\","cat":"sgcl","ph":"X","ts":150)"
+    R"(,"dur":20,"pid":0,"tid":2},{"name":"encode","cat":"sgcl","ph":"X",)"
+    R"("ts":400,"dur":300,"pid":0,"tid":0,"args":{"trace_id":"abcdef01234)"
+    R"(56789","span_id":13,"parent_span_id":11}},{"name":"loss","cat":"sg)"
+    R"(cl","ph":"X","ts":700,"dur":250,"pid":0,"tid":0,"args":{"trace_id")"
+    R"(:"abcdef0123456789","span_id":14,"parent_span_id":11}}],"displayTi)"
+    R"(meUnit":"ms"})");
+
+  // A short run of real spans, with the clock-dependent fields masked.
+  collector.Clear();
+  {
+    SGCL_TRACE_SPAN("run/outer");
+    {
+      SGCL_TRACE_SPAN("run/inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  {
+    SGCL_TRACE_SPAN("run/next");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string masked =
+      std::regex_replace(collector.ToChromeTraceJson(),
+                         std::regex("\"(ts|dur|tid)\":[0-9]+"), "\"$1\":0");
+  EXPECT_EQ(masked,
+    R"({"traceEvents":[{"name":"run/outer","cat":"sgcl","ph":"X","ts":0,")"
+    R"(dur":0,"pid":0,"tid":0},{"name":"run/inner","cat":"sgcl","ph":"X",)"
+    R"("ts":0,"dur":0,"pid":0,"tid":0},{"name":"run/next","cat":"sgcl","p)"
+    R"(h":"X","ts":0,"dur":0,"pid":0,"tid":0}],"displayTimeUnit":"ms"})");
+}
+
+TEST_F(TraceTest, ConcurrentRecordStaysBounded) {
+  // TSan-covered: writers overfill the store through both entry points
+  // (Record and TraceSpan) while a reader counts and copies it.
+  Counter* dropped =
+      MetricsRegistry::Global().GetCounter("trace/dropped_spans");
+  dropped->Reset();
+  constexpr int kWriters = 4;
+  constexpr int64_t kPerWriter = TraceCollector::kMaxSpans / 2;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([t] {
+      for (int64_t i = 0; i < kPerWriter; ++i) {
+        if (t % 2 == 0) {
+          TraceCollector::Global().Record(MakeSpan("bounded/record", t, i, 1));
+        } else {
+          SGCL_TRACE_SPAN("bounded/span");
+        }
+      }
+    });
+  }
+  threads.emplace_back([] {
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_LE(TraceCollector::Global().span_count(),
+                TraceCollector::kMaxSpans);
+      EXPECT_LE(TraceCollector::Global().Events().size(),
+                TraceCollector::kMaxSpans);
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(TraceCollector::Global().span_count(), TraceCollector::kMaxSpans);
+  EXPECT_EQ(dropped->value(),
+            kWriters * kPerWriter -
+                static_cast<int64_t>(TraceCollector::kMaxSpans));
+}
+
+// Sampled-trace tests run with the chrome store off (the trace index
+// does not need it); each test resets the global collector's sampling,
+// trace capacity, and contents so tests are order-independent.
 class TraceRingTest : public ::testing::Test {
  protected:
   void SetUp() override { ResetRing(); }
   void TearDown() override { ResetRing(); }
 
   static void ResetRing() {
-    TraceRing::Global().SetSampleRate(0.0);
-    TraceRing::Global().SetCapacity(256);
-    TraceRing::Global().Clear();
+    TraceCollector::Global().SetSampleRate(0.0);
+    TraceCollector::Global().SetTraceCapacity(256);
+    TraceCollector::Global().Clear();
   }
 
   // Opens a sampled trace and runs a root span with two children under
   // it, returning the trace id.
   static uint64_t CommitSimpleTrace() {
-    const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+    const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
     EXPECT_TRUE(ctx.valid());
     ScopedTraceContext install(ctx);
     {
@@ -192,32 +326,32 @@ class TraceRingTest : public ::testing::Test {
 
 TEST_F(TraceRingTest, RateZeroNeverSamples) {
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(TraceRing::Global().MaybeStartTrace().valid());
+    EXPECT_FALSE(TraceCollector::Global().MaybeStartTrace().valid());
   }
-  EXPECT_EQ(TraceRing::Global().sample_rate(), 0.0);
+  EXPECT_EQ(TraceCollector::Global().sample_rate(), 0.0);
 }
 
 TEST_F(TraceRingTest, SamplesEveryNthDeterministically) {
-  TraceRing::Global().SetSampleRate(0.25);  // period 4
+  TraceCollector::Global().SetSampleRate(0.25);  // period 4
   int sampled = 0;
   for (int i = 0; i < 40; ++i) {
-    if (TraceRing::Global().MaybeStartTrace().valid()) ++sampled;
+    if (TraceCollector::Global().MaybeStartTrace().valid()) ++sampled;
   }
   EXPECT_EQ(sampled, 10);
-  EXPECT_DOUBLE_EQ(TraceRing::Global().sample_rate(), 0.25);
+  EXPECT_DOUBLE_EQ(TraceCollector::Global().sample_rate(), 0.25);
 }
 
 TEST_F(TraceRingTest, UntracedSpansCostNoRingEntries) {
-  TraceRing::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetSampleRate(1.0);
   // No ambient context installed: spans do not join any trace.
   { SGCL_TRACE_SPAN("test/orphan"); }
-  EXPECT_EQ(TraceRing::Global().committed_count(), 0u);
+  EXPECT_EQ(TraceCollector::Global().committed_count(), 0u);
 }
 
 TEST_F(TraceRingTest, RootSpanCommitsAssembledTree) {
-  TraceRing::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetSampleRate(1.0);
   const uint64_t trace_id = CommitSimpleTrace();
-  const auto traces = TraceRing::Global().Traces();
+  const auto traces = TraceCollector::Global().Traces();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].trace_id, trace_id);
   EXPECT_EQ(traces[0].root_name, "test/root");
@@ -234,18 +368,31 @@ TEST_F(TraceRingTest, RootSpanCommitsAssembledTree) {
     }
   }
   // The tree JSON nests both children under the root with self_us.
-  const std::string tree = TraceRing::Global().TreeJson(trace_id);
+  const std::string tree = TraceCollector::Global().TreeJson(trace_id);
   EXPECT_NE(tree.find("\"root\":{\"name\":\"test/root\""), std::string::npos);
   EXPECT_NE(tree.find("test/parse"), std::string::npos);
   EXPECT_NE(tree.find("test/forward"), std::string::npos);
   EXPECT_NE(tree.find("\"self_us\":"), std::string::npos);
-  EXPECT_EQ(TraceRing::Global().TreeJson(trace_id + 1), "");
+  EXPECT_EQ(TraceCollector::Global().TreeJson(trace_id + 1), "");
+}
+
+TEST_F(TraceRingTest, SampledTraceCommitsWhileChromeStoreDisabled) {
+  ASSERT_FALSE(TraceCollector::Global().enabled());
+  TraceCollector::Global().SetSampleRate(1.0);
+  const uint64_t trace_id = CommitSimpleTrace();
+  EXPECT_EQ(TraceCollector::Global().committed_count(), 1u);
+  const auto traces = TraceCollector::Global().Traces();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].trace_id, trace_id);
+  EXPECT_EQ(traces[0].spans.size(), 3u);
+  // The trace's spans did not enter the disabled chrome store.
+  EXPECT_EQ(TraceCollector::Global().span_count(), 0u);
 }
 
 TEST_F(TraceRingTest, AmbientContextRestoredAfterScope) {
-  TraceRing::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetSampleRate(1.0);
   EXPECT_FALSE(CurrentTraceContext().valid());
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
   {
     ScopedTraceContext install(ctx);
     EXPECT_EQ(CurrentTraceContext().trace_id, ctx.trace_id);
@@ -260,48 +407,44 @@ TEST_F(TraceRingTest, AmbientContextRestoredAfterScope) {
 }
 
 TEST_F(TraceRingTest, LateSpansAfterCommitAreDropped) {
-  TraceRing::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetSampleRate(1.0);
   const uint64_t trace_id = CommitSimpleTrace();
-  TraceRing::Span late;
-  late.name = "test/late";
-  late.trace_id = trace_id;
-  late.span_id = TraceRing::NextSpanId();
-  late.parent_span_id = 7;
-  TraceRing::Global().RecordSpan(late);
-  const auto traces = TraceRing::Global().Traces();
+  EXPECT_NE(RecordManualSpan("test/late", TraceContext{trace_id, 7}, 0, 10),
+            0u);
+  const auto traces = TraceCollector::Global().Traces();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].spans.size(), 3u);  // late span did not join
 }
 
 TEST_F(TraceRingTest, CapacityEvictsOldestTrace) {
-  TraceRing::Global().SetSampleRate(1.0);
-  TraceRing::Global().SetCapacity(2);
+  TraceCollector::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetTraceCapacity(2);
   const uint64_t first = CommitSimpleTrace();
   CommitSimpleTrace();
   CommitSimpleTrace();
-  EXPECT_EQ(TraceRing::Global().committed_count(), 3u);
-  const auto traces = TraceRing::Global().Traces();
+  EXPECT_EQ(TraceCollector::Global().committed_count(), 3u);
+  const auto traces = TraceCollector::Global().Traces();
   ASSERT_EQ(traces.size(), 2u);
   for (const auto& t : traces) EXPECT_NE(t.trace_id, first);
-  EXPECT_EQ(TraceRing::Global().TreeJson(first), "");
+  EXPECT_EQ(TraceCollector::Global().TreeJson(first), "");
 }
 
 TEST_F(TraceRingTest, RecordManualSpanRequiresRealParent) {
-  TraceRing::Global().SetSampleRate(1.0);
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  TraceCollector::Global().SetSampleRate(1.0);
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
   // Invalid parent and root-level (span_id 0) parents are both no-ops:
   // a manual span with parent 0 would commit the trace as a bogus root.
   EXPECT_EQ(RecordManualSpan("test/bad", TraceContext{}, 0, 10), 0u);
   EXPECT_EQ(RecordManualSpan("test/bad", ctx, 0, 10), 0u);
-  EXPECT_EQ(TraceRing::Global().committed_count(), 0u);
+  EXPECT_EQ(TraceCollector::Global().committed_count(), 0u);
 }
 
 TEST_F(TraceRingTest, ManualSpanWithPreallocatedIdParentsLaterChildren) {
   // The batcher pattern: pre-allocate the forward span's id, run nested
   // work under it, record the forward span itself afterwards.
-  TraceRing::Global().SetSampleRate(1.0);
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
-  const uint64_t forward_id = TraceRing::NextSpanId();
+  TraceCollector::Global().SetSampleRate(1.0);
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
+  const uint64_t forward_id = TraceCollector::NextSpanId();
   ScopedTraceContext install(ctx);
   {
     TraceSpan root("test/root");
@@ -314,7 +457,7 @@ TEST_F(TraceRingTest, ManualSpanWithPreallocatedIdParentsLaterChildren) {
                                forward_id),
               forward_id);
   }
-  const auto traces = TraceRing::Global().Traces();
+  const auto traces = TraceCollector::Global().Traces();
   ASSERT_EQ(traces.size(), 1u);
   bool saw_infer = false;
   for (const auto& s : traces[0].spans) {
@@ -330,20 +473,20 @@ TEST_F(TraceRingTest, ManualSpanWithPreallocatedIdParentsLaterChildren) {
 }
 
 TEST_F(TraceRingTest, ListJsonFiltersAndLimits) {
-  TraceRing::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetSampleRate(1.0);
   CommitSimpleTrace();
   CommitSimpleTrace();
   const std::string all =
-      TraceRing::Global().ListJson(/*min_duration_us=*/0, /*limit=*/0,
+      TraceCollector::Global().ListJson(/*min_duration_us=*/0, /*limit=*/0,
                                    /*include_spans=*/false);
   EXPECT_NE(all.find("\"committed\":2"), std::string::npos);
   EXPECT_NE(all.find("\"trace_id\":\""), std::string::npos);
   EXPECT_EQ(all.find("\"spans\":["), std::string::npos);
   const std::string limited =
-      TraceRing::Global().ListJson(0, /*limit=*/1, /*include_spans=*/true);
+      TraceCollector::Global().ListJson(0, /*limit=*/1, /*include_spans=*/true);
   EXPECT_NE(limited.find("\"spans\":["), std::string::npos);
   // A min-duration filter far past any test span excludes everything.
-  const std::string none = TraceRing::Global().ListJson(
+  const std::string none = TraceCollector::Global().ListJson(
       /*min_duration_us=*/1000000000, 0, false);
   EXPECT_NE(none.find("\"traces\":[]"), std::string::npos);
 }
@@ -362,8 +505,8 @@ TEST_F(TraceRingTest, ConcurrentPoolWorkersJoinTheSchedulersTrace) {
   // TSan-covered (the CI sanitizer job runs *Concurrent* tests): a
   // sampled "request" fans work out to the pool; every worker installs
   // the captured context, so its spans land in the same trace.
-  TraceRing::Global().SetSampleRate(1.0);
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  TraceCollector::Global().SetSampleRate(1.0);
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
   ASSERT_TRUE(ctx.valid());
   {
     ScopedTraceContext install(ctx);
@@ -376,7 +519,7 @@ TEST_F(TraceRingTest, ConcurrentPoolWorkersJoinTheSchedulersTrace) {
       SGCL_TRACE_SPAN("test/pool_chunk");
     });
   }
-  const auto traces = TraceRing::Global().Traces();
+  const auto traces = TraceCollector::Global().Traces();
   ASSERT_EQ(traces.size(), 1u);
   uint64_t root_span_id = 0;
   for (const auto& s : traces[0].spans) {
@@ -401,13 +544,13 @@ TEST_F(TraceRingTest, ConcurrentPoolWorkersJoinTheSchedulersTrace) {
 TEST_F(TraceRingTest, ConcurrentCommitsStayBoundedAndWellFormed) {
   // TSan-covered: many threads open, populate, and commit traces
   // against a tiny ring while readers list/serialize concurrently.
-  TraceRing::Global().SetSampleRate(1.0);
-  TraceRing::Global().SetCapacity(4);
+  TraceCollector::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetTraceCapacity(4);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 25; ++i) {
-        const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+        const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
         if (!ctx.valid()) continue;
         ScopedTraceContext install(ctx);
         TraceSpan root("test/root");
@@ -417,14 +560,14 @@ TEST_F(TraceRingTest, ConcurrentCommitsStayBoundedAndWellFormed) {
   }
   threads.emplace_back([] {
     for (int i = 0; i < 50; ++i) {
-      (void)TraceRing::Global().ListJson(0, 0, true);
-      (void)TraceRing::Global().Traces();
+      (void)TraceCollector::Global().ListJson(0, 0, true);
+      (void)TraceCollector::Global().Traces();
     }
   });
   for (auto& t : threads) t.join();
-  EXPECT_EQ(TraceRing::Global().committed_count(), 100u);
-  EXPECT_LE(TraceRing::Global().Traces().size(), 4u);
-  for (const auto& trace : TraceRing::Global().Traces()) {
+  EXPECT_EQ(TraceCollector::Global().committed_count(), 100u);
+  EXPECT_LE(TraceCollector::Global().Traces().size(), 4u);
+  for (const auto& trace : TraceCollector::Global().Traces()) {
     EXPECT_EQ(trace.root_name, "test/root");
     EXPECT_EQ(trace.spans.size(), 2u);
   }

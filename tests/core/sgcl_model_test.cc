@@ -4,7 +4,9 @@
 #include "core/sgcl_model.h"
 
 #include <cmath>
+#include <map>
 
+#include "common/trace.h"
 #include "core/sgcl_trainer.h"
 #include "data/synthetic_tu.h"
 #include "gtest/gtest.h"
@@ -174,6 +176,49 @@ TEST(SgclModelTest, ExactGeneratorModeWorksEndToEnd) {
   SgclModel model(cfg, &rng);
   Tensor loss = model.ComputeLoss(FirstGraphs(ds, 4), &rng);
   EXPECT_TRUE(std::isfinite(loss.item()));
+}
+
+TEST(SgclModelTest, LossSpanCoversNoEncoderPass) {
+  // Every encoder pass the losses need runs under its own "encode" span,
+  // so the "loss" stage times only the loss math. Parent links of a
+  // sampled trace show the nesting exactly, whatever the clock says.
+  GraphDataset ds = SmallDataset();
+  Rng rng(5);
+  SgclConfig cfg = SmallConfig(ds.feat_dim());
+  cfg.lambda_c = 0.01f;
+  cfg.generator_loss_weight = 0.5f;
+  SgclModel model(cfg, &rng);
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Clear();
+  collector.SetSampleRate(1.0);
+  const TraceContext ctx = collector.MaybeStartTrace();
+  ASSERT_TRUE(ctx.valid());
+  {
+    ScopedTraceContext install(ctx);
+    TraceSpan root("test/batch");
+    (void)model.ComputeLoss(FirstGraphs(ds, 6), &rng);
+  }
+  collector.SetSampleRate(0.0);
+  const auto traces = collector.Traces();
+  collector.Clear();
+  ASSERT_EQ(traces.size(), 1u);
+  std::map<uint64_t, const TraceCollector::Span*> by_id;
+  for (const auto& s : traces[0].spans) by_id[s.span_id] = &s;
+  int encode_spans = 0;
+  int loss_spans = 0;
+  for (const auto& s : traces[0].spans) {
+    if (s.name == "loss") ++loss_spans;
+    if (s.name != "encode") continue;
+    ++encode_spans;
+    for (auto it = by_id.find(s.parent_span_id); it != by_id.end();
+         it = by_id.find(it->second->parent_span_id)) {
+      EXPECT_NE(it->second->name, "loss") << "an encode span runs inside loss";
+    }
+  }
+  // f_q on the anchor, f_k on the anchor and sample views, f_q on the
+  // sample view (generator loss), f_k on the complement view.
+  EXPECT_EQ(encode_spans, 4);
+  EXPECT_GE(loss_spans, 1);
 }
 
 }  // namespace

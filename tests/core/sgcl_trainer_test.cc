@@ -130,15 +130,15 @@ TEST(SgclTrainerTest, TraceSamplingDoesNotPerturbTraining) {
   GraphDataset ds = SmallDataset();
   SgclConfig cfg = SmallConfig(ds.feat_dim());
 
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
   SgclTrainer untraced(cfg, /*seed=*/17);
   auto untraced_stats = untraced.Pretrain(ds);
   ASSERT_TRUE(untraced_stats.ok());
 
-  TraceRing::Global().SetSampleRate(1.0);
-  TraceRing::Global().SetCapacity(16);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetTraceCapacity(16);
+  TraceCollector::Global().Clear();
   SgclTrainer traced(cfg, /*seed=*/17);
   auto traced_stats = traced.Pretrain(ds);
   ASSERT_TRUE(traced_stats.ok());
@@ -150,12 +150,12 @@ TEST(SgclTrainerTest, TraceSamplingDoesNotPerturbTraining) {
         << "epoch " << e;
   }
   // And the run actually produced batch-rooted traces.
-  EXPECT_GT(TraceRing::Global().committed_count(), 0u);
-  EXPECT_NE(TraceRing::Global().ListJson(0, 1, true).find("train/batch"),
+  EXPECT_GT(TraceCollector::Global().committed_count(), 0u);
+  EXPECT_NE(TraceCollector::Global().ListJson(0, 1, true).find("train/batch"),
             std::string::npos);
 
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
 }
 
 TEST(SgclTrainerTest, CancellationStopsEarly) {

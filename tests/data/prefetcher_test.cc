@@ -173,10 +173,10 @@ TEST(PrefetcherTest, FetchSpansJoinTheSchedulersTrace) {
   ASSERT_TRUE(store.ok());
   SlowSource slow(store->get(), /*sleep_ms=*/2);
 
-  TraceRing::Global().SetSampleRate(1.0);
-  TraceRing::Global().SetCapacity(8);
-  TraceRing::Global().Clear();
-  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  TraceCollector::Global().SetSampleRate(1.0);
+  TraceCollector::Global().SetTraceCapacity(8);
+  TraceCollector::Global().Clear();
+  const TraceContext ctx = TraceCollector::Global().MaybeStartTrace();
   ASSERT_TRUE(ctx.valid());
   {
     ScopedTraceContext install(ctx);
@@ -190,13 +190,13 @@ TEST(PrefetcherTest, FetchSpansJoinTheSchedulersTrace) {
 
   // The pool-thread fetches crossed the thread boundary into the
   // scheduler's trace, and the consumer's wait shows up as a stall span.
-  const std::string tree = TraceRing::Global().TreeJson(ctx.trace_id);
+  const std::string tree = TraceCollector::Global().TreeJson(ctx.trace_id);
   ASSERT_FALSE(tree.empty());
   EXPECT_NE(tree.find("stream/prefetch_fetch"), std::string::npos) << tree;
   EXPECT_NE(tree.find("stream/consumer_stall"), std::string::npos) << tree;
 
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
   fs::remove_all(dir);
 }
 

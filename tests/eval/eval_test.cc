@@ -128,7 +128,7 @@ TEST(UnsupervisedProtocolTest, RunsEndToEndWithSgcl) {
         cfg.batch_size = 8;
         return std::make_unique<SgclTrainer>(cfg, seed);
       },
-      ds, opt);
+      InMemorySource(&ds), opt);
   EXPECT_GT(result.mean, 0.3);
   EXPECT_LE(result.mean, 1.0);
 }

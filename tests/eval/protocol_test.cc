@@ -53,7 +53,7 @@ TEST(KernelProtocolTest, AggregatesFoldSeeds) {
   UnsupervisedProtocolOptions proto;
   proto.num_seeds = 2;
   proto.cv_folds = 3;
-  MeanStd result = RunKernelProtocol(gram, ds, proto);
+  MeanStd result = RunKernelProtocol(gram, InMemorySource(&ds), proto);
   EXPECT_GT(result.mean, 0.4);
   EXPECT_LE(result.mean, 1.0);
 }

@@ -313,7 +313,7 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
   options.trace_sample_rate = 1.0;
   options.trace_ring_size = 16;
   StartService(options);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().Clear();
 
   const std::string response = Post(port_, "/v1/embed", OneGraphBody());
   ASSERT_TRUE(HasStatus(response, "200")) << response;
@@ -352,8 +352,8 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
   EXPECT_NE(metrics.find("# {trace_id=\"" + id + "\"}"), std::string::npos)
       << metrics;
 
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
 }
 
 TEST_F(ServiceTest, UnsampledRequestsCarryNoTraceArtifacts) {
@@ -361,7 +361,7 @@ TEST_F(ServiceTest, UnsampledRequestsCarryNoTraceArtifacts) {
   options.batcher.batch_timeout_us = 0;
   options.trace_sample_rate = 0.0;
   StartService(options);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().Clear();
   const std::string response = Post(port_, "/v1/embed", OneGraphBody());
   ASSERT_TRUE(HasStatus(response, "200"));
   EXPECT_EQ(HeaderValue(response, "X-Sgcl-Trace"), "");
@@ -383,12 +383,12 @@ TEST_F(ServiceTest, SampledEmbeddingsAreBitwiseIdenticalToUnsampled) {
   ServeOptions traced_options = options;
   traced_options.trace_sample_rate = 1.0;
   StartService(traced_options);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().Clear();
   const std::string traced = Body(Post(port_, "/v1/embed", OneGraphBody()));
   EXPECT_EQ(untraced, traced);
 
-  TraceRing::Global().SetSampleRate(0.0);
-  TraceRing::Global().Clear();
+  TraceCollector::Global().SetSampleRate(0.0);
+  TraceCollector::Global().Clear();
 }
 
 TEST_F(ServiceTest, InfoAndStatusDescribeTheService) {

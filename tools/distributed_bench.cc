@@ -25,7 +25,6 @@
 // world=1 go to stdout.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,7 +34,6 @@
 #include "comms/allreduce.h"
 #include "common/bench_compare.h"
 #include "common/flags.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "core/sgcl_trainer.h"
@@ -54,29 +52,6 @@ int64_t CounterValue(const char* name) {
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
-}
-
-Status WriteBenchJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& entries_us,
-    const std::string& context_fields) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"distributed_bench\","
-      << context_fields << "},\"benchmarks\":[";
-  for (size_t i = 0; i < entries_us.size(); ++i) {
-    if (i > 0) out << ',';
-    const std::string& name = entries_us[i].first;
-    out << "{\"name\":\"" << JsonEscape(name) << "\",\"run_name\":\""
-        << JsonEscape(name) << "\",\"run_type\":\"iteration\","
-        << "\"iterations\":1,\"real_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"cpu_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"time_unit\":\"us\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
 }
 
 struct WorldResult {
@@ -273,7 +248,7 @@ int Run(int argc, char** argv) {
         ",\"batch\":" + std::to_string(batch) +
         ",\"accum\":" + std::to_string(accum) +
         ",\"worlds\":\"" + worlds_csv + "\"";
-    const Status written = WriteBenchJson(out_json, entries, context);
+    const Status written = WriteBenchJson(out_json, "distributed_bench", entries, context);
     if (!written.ok()) return Fail(written);
     std::printf("wrote %s\n", out_json.c_str());
   }

@@ -35,7 +35,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,28 +262,6 @@ double Quantile(std::vector<double>* sorted, double q) {
   const size_t hi = std::min(lo + 1, sorted->size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return (*sorted)[lo] * (1.0 - frac) + (*sorted)[hi] * frac;
-}
-
-Status WriteBenchJson(const std::string& path, const std::string& prefix,
-                      const std::vector<std::pair<std::string, double>>& us,
-                      const std::string& context_fields) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"serve_load\"," << context_fields
-      << "},\"benchmarks\":[";
-  for (size_t i = 0; i < us.size(); ++i) {
-    if (i > 0) out << ',';
-    const std::string name = prefix + "/" + us[i].first;
-    out << "{\"name\":\"" << JsonEscape(name) << "\",\"run_name\":\""
-        << JsonEscape(name) << "\",\"run_type\":\"iteration\","
-        << "\"iterations\":1,\"real_time\":" << JsonDouble(us[i].second)
-        << ",\"cpu_time\":" << JsonDouble(us[i].second)
-        << ",\"time_unit\":\"us\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
 }
 
 int Run(int argc, char** argv) {
@@ -561,10 +538,13 @@ int Run(int argc, char** argv) {
   }
 
   const double interval_us = achieved_qps > 0.0 ? 1e6 / achieved_qps : 0.0;
+  const std::string row = name_prefix + "/";
   const std::vector<std::pair<std::string, double>> entries = {
-      {"req_interval_us", interval_us}, {"latency_p50_us", p50},
-      {"latency_p95_us", p95},          {"latency_p99_us", p99},
-      {"latency_mean_us", mean},
+      {row + "req_interval_us", interval_us},
+      {row + "latency_p50_us", p50},
+      {row + "latency_p95_us", p95},
+      {row + "latency_p99_us", p99},
+      {row + "latency_mean_us", mean},
   };
   if (!out_json.empty()) {
     const std::string context = StrFormat(
@@ -580,8 +560,8 @@ int Run(int argc, char** argv) {
         JsonDouble(batch_mean).c_str(),
         JsonDouble(batch_p95).c_str(), static_cast<long long>(batches),
         static_cast<long long>(rejected));
-    const Status written = WriteBenchJson(out_json, name_prefix, entries,
-                                          context);
+    const Status written =
+        WriteBenchJson(out_json, "serve_load", entries, context);
     if (!written.ok()) {
       std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 2;
@@ -592,7 +572,7 @@ int Run(int argc, char** argv) {
     std::vector<BenchEntry> current;
     for (const auto& [name, value] : entries) {
       BenchEntry e;
-      e.name = name_prefix + "/" + name;
+      e.name = name;
       e.run_name = e.name;
       e.real_ns = value * 1e3;
       e.cpu_ns = e.real_ns;

@@ -396,18 +396,15 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   }
   LogSinkGuard sink_guard(log_sink.get());
 
-  TraceCollector& collector = TraceCollector::Global();
-  // The /trace endpoint needs span collection on even without a file sink.
-  const bool tracing = !obs.trace_out.empty() || obs.http_port >= 0;
-  if (tracing) {
-    collector.Clear();
-    collector.Enable(true);
-  }
   SGCL_RETURN_NOT_OK(
       ValidateTraceFlags(obs.trace_sample_rate, obs.trace_ring_size));
-  TraceRing::Global().SetSampleRate(obs.trace_sample_rate);
-  TraceRing::Global().SetCapacity(static_cast<size_t>(obs.trace_ring_size));
-  TraceRing::Global().Clear();  // per-run isolation, like the metrics
+  TraceCollector& collector = TraceCollector::Global();
+  collector.Clear();  // per-run isolation, like the metrics
+  collector.SetSampleRate(obs.trace_sample_rate);
+  collector.SetTraceCapacity(static_cast<size_t>(obs.trace_ring_size));
+  // The /trace endpoint needs span collection on even without a file sink.
+  const bool tracing = !obs.trace_out.empty() || obs.http_port >= 0;
+  if (tracing) collector.Enable(true);
   MetricsRegistry::Global().Reset();  // per-run isolation
 
   RunStatusBoard board;
@@ -487,7 +484,7 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
     Status st = collector.WriteChromeTrace(obs.trace_out);
     if (!st.ok()) return st;
     std::printf("wrote %s (%zu spans)\n", obs.trace_out.c_str(),
-                collector.Events().size());
+                collector.span_count());
   }
   if (metrics_stream.is_open()) {
     // Final record: whole-run totals plus the full registry snapshot.
@@ -987,7 +984,7 @@ int CmdServe(int argc, char** argv) {
   options.trace_sample_rate = trace_sample_rate;
   options.trace_ring_size = trace_ring_size;
   MetricsRegistry::Global().Reset();  // per-run isolation
-  TraceRing::Global().Clear();
+  TraceCollector::Global().Clear();
   serve::ServeService service(&model, options);
   st = service.Start();
   if (!st.ok()) return Fail(st);

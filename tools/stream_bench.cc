@@ -22,14 +22,12 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bench_compare.h"
 #include "common/flags.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "core/sgcl_trainer.h"
@@ -55,29 +53,6 @@ int64_t CounterValue(const char* name) {
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
-}
-
-Status WriteBenchJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& entries_us,
-    const std::string& context_fields) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"stream_bench\"," << context_fields
-      << "},\"benchmarks\":[";
-  for (size_t i = 0; i < entries_us.size(); ++i) {
-    if (i > 0) out << ',';
-    const std::string& name = entries_us[i].first;
-    out << "{\"name\":\"" << JsonEscape(name) << "\",\"run_name\":\""
-        << JsonEscape(name) << "\",\"run_type\":\"iteration\","
-        << "\"iterations\":1,\"real_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"cpu_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"time_unit\":\"us\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
 }
 
 int Run(int argc, char** argv) {
@@ -248,7 +223,7 @@ int Run(int argc, char** argv) {
                           std::to_string(shard_graphs) +
                           ",\"prefetch_depth\":" +
                           std::to_string(prefetch_depth);
-    const Status written = WriteBenchJson(out_json, entries, context);
+    const Status written = WriteBenchJson(out_json, "stream_bench", entries, context);
     if (!written.ok()) return Fail(written);
     std::printf("wrote %s\n", out_json.c_str());
   }

@@ -5,7 +5,7 @@
 // Accepts either trace format the repo produces and prints the same
 // breakdown the live /v1/traces endpoints serve, but offline:
 //
-//  * a TraceRing dump — `curl /v1/traces?detail=1` (the object with a
+//  * a sampled-trace dump — `curl /v1/traces?detail=1` (the object with a
 //    "traces" array, each trace carrying its flat span list), or
 //  * a chrome://tracing file written by --trace-out, where sampled
 //    spans carry {"args":{"trace_id",...}} (untagged events are
@@ -75,7 +75,7 @@ Result<ReportSpan> ParseRingSpan(const JsonValue& v) {
   return s;
 }
 
-// TraceRing dump: {"traces":[{"trace_id","root","dur_us","spans":[...]}]}
+// Sampled-trace dump: {"traces":[{"trace_id","root","dur_us","spans":[...]}]}
 Result<std::vector<ReportTrace>> LoadRingDump(const JsonValue& doc) {
   std::vector<ReportTrace> traces;
   const JsonValue* arr = doc.Find("traces");
