@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bench_compare.h"
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "core/lipschitz_generator.h"
@@ -159,6 +160,9 @@ int main(int argc, char** argv) {
   }
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
+  // google-benchmark's library_build_type is the benchmark library's
+  // build; record sgcl's own next to it.
+  benchmark::AddCustomContext("sgcl_build_type", sgcl::SgclBuildType());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;
   }

@@ -1,11 +1,13 @@
 // Microbenchmark for the autograd MatMul / MatMulTransB kernels
-// (tensor/gemm.*): one forward product plus Backward through both
-// operands, at the shapes one SGCL pretraining batch of the perfbench
-// `train_mol` workload runs (32 molecules, ~768 nodes, 12 atom features,
-// hidden 64):
+// (tensor/gemm.*) and the fused GIN layer nodes: one forward plus
+// Backward through every input, at the shapes one SGCL pretraining batch
+// of the perfbench `train_mol` workload runs (32 molecules, ~768 nodes,
+// ~1700 directed edges, 12 atom features, hidden 64):
 //   BM_MatMulFwdBwd/768/12/64     first GIN layer, [768,12] x [12,64]
 //   BM_MatMulFwdBwd/768/64/64     later GIN layers, [768,64] x [64,64]
 //   BM_MatMulTransBFwdBwd/32/64/64  [32,64] x [64,64]^T
+//   BM_AffineReluFwdBwd/768/64/64   ReLU(x W + b), one GIN MLP layer
+//   BM_GinAggregateFwdBwd/768/64/1700  the GIN neighbourhood sum
 // The left operand is ReLU-like (about half exact zeros), as GIN layer
 // inputs are. Both operands require grad. The scalar loss (a serial sum
 // over the output) is built outside the timed region; its backward, a
@@ -20,8 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bench_compare.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "tensor/graph_ops.h"
 #include "tensor/ops.h"
 
 namespace sgcl {
@@ -85,6 +89,56 @@ BENCHMARK(BM_MatMulTransBFwdBwd)
     ->Args({32, 64, 64})
     ->Unit(benchmark::kMicrosecond);
 
+// state.range: m, k, n of relu([m,k] x [k,n] + [1,n]).
+void BM_AffineReluFwdBwd(benchmark::State& state) {
+  SetParallelThreads(1);
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(1);
+  Tensor x = RandomTensor(m, k, 0.5, &rng);
+  Tensor w = RandomTensor(k, n, 0.0, &rng);
+  Tensor b = RandomTensor(1, n, 0.0, &rng);
+  for (auto _ : state) {
+    Tensor y = Affine(x, w, b, /*relu=*/true);
+    state.PauseTiming();
+    Tensor loss = Sum(y);
+    state.ResumeTiming();
+    loss.Backward();
+    benchmark::DoNotOptimize(x.grad());
+    benchmark::DoNotOptimize(w.grad());
+    benchmark::ClobberMemory();
+  }
+  SetParallelThreads(0);
+}
+BENCHMARK(BM_AffineReluFwdBwd)
+    ->Args({768, 64, 64})
+    ->Unit(benchmark::kMicrosecond);
+
+// state.range: nodes, feature width, edges (random endpoints).
+void BM_GinAggregateFwdBwd(benchmark::State& state) {
+  SetParallelThreads(1);
+  const int64_t n = state.range(0), d = state.range(1), e = state.range(2);
+  Rng rng(1);
+  Tensor x = RandomTensor(n, d, 0.5, &rng);
+  std::vector<int32_t> src(static_cast<size_t>(e)), dst(src.size());
+  for (int64_t i = 0; i < e; ++i) {
+    src[i] = static_cast<int32_t>(rng.UniformInt(n));
+    dst[i] = static_cast<int32_t>(rng.UniformInt(n));
+  }
+  for (auto _ : state) {
+    Tensor y = GinAggregate(x, src, dst, Tensor(), 0.0f);
+    state.PauseTiming();
+    Tensor loss = Sum(y);
+    state.ResumeTiming();
+    loss.Backward();
+    benchmark::DoNotOptimize(x.grad());
+    benchmark::ClobberMemory();
+  }
+  SetParallelThreads(0);
+}
+BENCHMARK(BM_GinAggregateFwdBwd)
+    ->Args({768, 64, 1700})
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace sgcl
 
@@ -104,6 +158,9 @@ int main(int argc, char** argv) {
   }
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
+  // google-benchmark's library_build_type is the benchmark library's
+  // build; record sgcl's own next to it.
+  benchmark::AddCustomContext("sgcl_build_type", sgcl::SgclBuildType());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;
   }

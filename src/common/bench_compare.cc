@@ -125,6 +125,14 @@ int CountRegressions(const BenchComparison& comparison,
   return regressions;
 }
 
+const char* SgclBuildType() {
+#ifdef NDEBUG
+  return "release";
+#else
+  return "debug";
+#endif
+}
+
 Result<BenchHost> LoadBenchmarkHost(const std::string& path) {
   SGCL_ASSIGN_OR_RETURN(const JsonValue root, ParseJsonFile(path));
   BenchHost host;
@@ -133,7 +141,10 @@ Result<BenchHost> LoadBenchmarkHost(const std::string& path) {
   if (context->Find("num_cpus") != nullptr) {
     host.num_cpus = StrFormat("%g", context->GetDouble("num_cpus"));
   }
-  host.build_type = context->GetString("library_build_type");
+  host.build_type = context->GetString("sgcl_build_type");
+  if (host.build_type.empty()) {
+    host.build_type = context->GetString("library_build_type");
+  }
   return host;
 }
 
@@ -141,16 +152,13 @@ Status WriteBenchJson(
     const std::string& path, const std::string& library,
     const std::vector<std::pair<std::string, double>>& entries_us,
     const std::string& context_fields) {
-#ifdef NDEBUG
-  const char* build_type = "release";
-#else
-  const char* build_type = "debug";
-#endif
+  const char* build_type = SgclBuildType();
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::Internal("cannot write " + path);
   out << "{\"context\":{\"library\":\"" << JsonEscape(library)
       << "\",\"num_cpus\":" << std::thread::hardware_concurrency()
-      << ",\"library_build_type\":\"" << build_type << '"';
+      << ",\"library_build_type\":\"" << build_type
+      << "\",\"sgcl_build_type\":\"" << build_type << '"';
   if (!context_fields.empty()) out << ',' << context_fields;
   out << "},\"benchmarks\":[";
   for (size_t i = 0; i < entries_us.size(); ++i) {

@@ -56,8 +56,15 @@ std::string FormatComparison(const BenchComparison& comparison,
 // Count of matched benchmarks whose slowdown is >= threshold_pct.
 int CountRegressions(const BenchComparison& comparison, double threshold_pct);
 
-// The host fields of a result file's "context": num_cpus and
-// library_build_type, each "" when the file does not record it.
+// "release" or "debug": how the sgcl library itself was compiled
+// (NDEBUG). Bench tools record it as the context field
+// "sgcl_build_type", because google-benchmark's own
+// "library_build_type" describes the benchmark library's build instead.
+const char* SgclBuildType();
+
+// The host fields of a result file's "context": num_cpus and the build
+// type, read from sgcl_build_type when the file records it and from
+// library_build_type otherwise; each "" when the file records neither.
 struct BenchHost {
   std::string num_cpus;
   std::string build_type;
@@ -67,7 +74,8 @@ Result<BenchHost> LoadBenchmarkHost(const std::string& path);
 
 // Writes a google-benchmark JSON result file: one iteration row per
 // (name, microseconds) entry, and a "context" that names `library`,
-// records the host (num_cpus, library_build_type) and appends
+// records the host (num_cpus, library_build_type and sgcl_build_type,
+// both SgclBuildType()) and appends
 // `context_fields`, a run of comma-separated JSON members ("" for none).
 // Used by the repo's own bench tools so every committed BENCH_*.json
 // carries the host fields LoadBenchmarkHost reads.

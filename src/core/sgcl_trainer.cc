@@ -90,7 +90,7 @@ void FlattenGradients(const std::vector<Tensor>& params,
                       std::vector<float>* out) {
   out->clear();
   for (const Tensor& param : params) {
-    const std::vector<float>& grad = param.grad_values();
+    const FloatBuffer& grad = param.grad_values();
     out->insert(out->end(), grad.begin(), grad.end());
   }
 }

@@ -60,9 +60,11 @@ GnnEncoder::GnnEncoder(const EncoderConfig& config, Rng* rng)
 Tensor GnnEncoder::EncodeNodes(const Tensor& x, const GraphBatch& batch) const {
   Tensor h = x;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l]->Forward(h, batch);
-    if (!norms_.empty()) h = norms_[l]->Forward(h);
-    h = Relu(h);
+    if (norms_.empty()) {
+      h = layers_[l]->ForwardRelu(h, batch);
+    } else {
+      h = Relu(norms_[l]->Forward(layers_[l]->Forward(h, batch)));
+    }
   }
   return h;
 }

@@ -1,7 +1,6 @@
 #include "nn/gin_conv.h"
 
 #include "tensor/graph_ops.h"
-#include "tensor/ops.h"
 
 namespace sgcl {
 
@@ -10,18 +9,22 @@ GinConv::GinConv(int64_t in_dim, int64_t out_dim, Rng* rng, float eps)
                                  rng)),
       eps_(eps) {}
 
-Tensor GinConv::Forward(const Tensor& x, const GraphBatch& batch) const {
+namespace {
+
+Tensor Aggregate(const Tensor& x, const GraphBatch& batch, float eps) {
   SGCL_CHECK_EQ(x.rows(), batch.num_nodes);
-  Tensor messages = GatherRows(x, batch.edge_src);
-  if (batch.edge_weights.numel() > 0) {
-    SGCL_CHECK_EQ(batch.edge_weights.rows(),
-                  static_cast<int64_t>(batch.edge_src.size()));
-    messages = MulBroadcastCol(messages, batch.edge_weights);
-  }
-  Tensor neighbor_sum =
-      ScatterAddRows(messages, batch.edge_dst, batch.num_nodes);
-  Tensor agg = Add(MulScalar(x, 1.0f + eps_), neighbor_sum);
-  return mlp_->Forward(agg);
+  return GinAggregate(x, batch.edge_src, batch.edge_dst, batch.edge_weights,
+                      eps);
+}
+
+}  // namespace
+
+Tensor GinConv::Forward(const Tensor& x, const GraphBatch& batch) const {
+  return mlp_->Forward(Aggregate(x, batch, eps_));
+}
+
+Tensor GinConv::ForwardRelu(const Tensor& x, const GraphBatch& batch) const {
+  return mlp_->Forward(Aggregate(x, batch, eps_), /*final_relu=*/true);
 }
 
 std::vector<Tensor> GinConv::Parameters() const { return mlp_->Parameters(); }

@@ -1,5 +1,7 @@
 // Graph Isomorphism Network layer (Xu et al., ICLR'19), GIN-0 variant:
 //   h_i' = MLP((1 + eps) h_i + sum_{j in N(i)} h_j),   eps = 0.
+// On the tape: one GinAggregate node and one Affine node per MLP layer,
+// the encoder's ReLU folded into the last (ForwardRelu).
 #ifndef SGCL_NN_GIN_CONV_H_
 #define SGCL_NN_GIN_CONV_H_
 
@@ -16,6 +18,7 @@ class GinConv : public GraphConv {
   GinConv(int64_t in_dim, int64_t out_dim, Rng* rng, float eps = 0.0f);
 
   Tensor Forward(const Tensor& x, const GraphBatch& batch) const override;
+  Tensor ForwardRelu(const Tensor& x, const GraphBatch& batch) const override;
   std::vector<Tensor> Parameters() const override;
 
   const Mlp& mlp() const { return *mlp_; }

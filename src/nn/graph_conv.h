@@ -4,6 +4,7 @@
 
 #include "graph/graph_batch.h"
 #include "nn/module.h"
+#include "tensor/ops.h"
 
 namespace sgcl {
 
@@ -13,6 +14,11 @@ class GraphConv : public Module {
   // reads only topology (edge lists, degrees) from `batch`; features come
   // from `x` so layers can be stacked and fed perturbed inputs.
   virtual Tensor Forward(const Tensor& x, const GraphBatch& batch) const = 0;
+  // Relu(Forward(x, batch)). A layer whose last tape node can apply the
+  // ReLU itself overrides this, with the same bits and one node fewer.
+  virtual Tensor ForwardRelu(const Tensor& x, const GraphBatch& batch) const {
+    return Relu(Forward(x, batch));
+  }
 };
 
 }  // namespace sgcl

@@ -18,9 +18,9 @@ Tensor LayerNorm::Forward(const Tensor& x) const {
   const int64_t n = x.rows(), d = x.cols();
   SGCL_CHECK_EQ(d, gamma_.cols());
   // Forward: xhat = (x - mu) / sigma; y = gamma * xhat + beta.
-  std::vector<float> out(static_cast<size_t>(n * d));
-  std::vector<float> xhat(static_cast<size_t>(n * d));
-  std::vector<float> inv_sigma(static_cast<size_t>(n));
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(n * d));
+  FloatBuffer xhat = FloatBuffer::Uninitialized(static_cast<size_t>(n * d));
+  FloatBuffer inv_sigma = FloatBuffer::Uninitialized(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     double mean = 0.0;
     for (int64_t j = 0; j < d; ++j) mean += x.At(i, j);

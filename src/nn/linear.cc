@@ -10,10 +10,8 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng* rng, bool use_bias)
   if (use_bias_) bias_ = ZerosParam(1, out_dim);
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  Tensor y = MatMul(x, weight_);
-  if (use_bias_) y = Add(y, bias_);
-  return y;
+Tensor Linear::Forward(const Tensor& x, bool relu) const {
+  return Affine(x, weight_, bias_, relu);
 }
 
 std::vector<Tensor> Linear::Parameters() const {

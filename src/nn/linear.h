@@ -1,4 +1,5 @@
-// Fully-connected layer: y = xW (+ b).
+// Fully-connected layer: y = xW (+ b), optionally followed by a ReLU, as
+// one Affine tape node (tensor/ops.h).
 #ifndef SGCL_NN_LINEAR_H_
 #define SGCL_NN_LINEAR_H_
 
@@ -12,8 +13,8 @@ class Linear : public Module {
  public:
   Linear(int64_t in_dim, int64_t out_dim, Rng* rng, bool use_bias = true);
 
-  // x [n, in_dim] -> [n, out_dim].
-  Tensor Forward(const Tensor& x) const;
+  // x [n, in_dim] -> [n, out_dim]; with `relu`, ReLU(xW + b).
+  Tensor Forward(const Tensor& x, bool relu = false) const;
 
   std::vector<Tensor> Parameters() const override;
 

@@ -1,7 +1,5 @@
 #include "nn/mlp.h"
 
-#include "tensor/ops.h"
-
 namespace sgcl {
 
 Mlp::Mlp(const std::vector<int64_t>& dims, Rng* rng, bool final_activation)
@@ -13,10 +11,13 @@ Mlp::Mlp(const std::vector<int64_t>& dims, Rng* rng, bool final_activation)
 }
 
 Tensor Mlp::Forward(const Tensor& x) const {
+  return Forward(x, final_activation_);
+}
+
+Tensor Mlp::Forward(const Tensor& x, bool final_relu) const {
   Tensor h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
-    if (i + 1 < layers_.size() || final_activation_) h = Relu(h);
+    h = layers_[i]->Forward(h, i + 1 < layers_.size() || final_relu);
   }
   return h;
 }

@@ -20,6 +20,9 @@ class Mlp : public Module {
       bool final_activation = false);
 
   Tensor Forward(const Tensor& x) const;
+  // As Forward, with the ReLU after the last layer set by `final_relu`
+  // instead of final_activation().
+  Tensor Forward(const Tensor& x, bool final_relu) const;
 
   std::vector<Tensor> Parameters() const override;
 

@@ -21,7 +21,7 @@ Tensor GatherRows(const Tensor& x, const std::vector<int32_t>& index) {
   const int64_t n = x.rows(), d = x.cols();
   const int64_t e = static_cast<int64_t>(index.size());
   CheckIndexRange(index, n);
-  std::vector<float> out(static_cast<size_t>(e * d));
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(e * d));
   for (int64_t r = 0; r < e; ++r) {
     const float* src = x.data() + static_cast<int64_t>(index[r]) * d;
     std::copy(src, src + d, out.data() + r * d);
@@ -46,7 +46,7 @@ Tensor ScatterAddRows(const Tensor& x, const std::vector<int32_t>& index,
   const int64_t e = x.rows(), d = x.cols();
   SGCL_CHECK_EQ(e, static_cast<int64_t>(index.size()));
   CheckIndexRange(index, num_rows);
-  std::vector<float> out(static_cast<size_t>(num_rows * d), 0.0f);
+  FloatBuffer out(static_cast<size_t>(num_rows * d), 0.0f);
   for (int64_t r = 0; r < e; ++r) {
     float* dst = out.data() + static_cast<int64_t>(index[r]) * d;
     const float* src = x.data() + r * d;
@@ -80,7 +80,7 @@ Tensor SegmentMean(const Tensor& x, const std::vector<int32_t>& segment_ids,
   CheckIndexRange(segment_ids, num_segments);
   std::vector<float> counts(static_cast<size_t>(num_segments), 0.0f);
   for (int32_t s : segment_ids) counts[s] += 1.0f;
-  std::vector<float> out(static_cast<size_t>(num_segments * d), 0.0f);
+  FloatBuffer out(static_cast<size_t>(num_segments * d), 0.0f);
   for (int64_t r = 0; r < n; ++r) {
     float* dst = out.data() + static_cast<int64_t>(segment_ids[r]) * d;
     const float* src = x.data() + r * d;
@@ -116,7 +116,7 @@ Tensor SegmentMax(const Tensor& x, const std::vector<int32_t>& segment_ids,
   SGCL_CHECK_EQ(n, static_cast<int64_t>(segment_ids.size()));
   CheckIndexRange(segment_ids, num_segments);
   constexpr float kNegInf = -3.4e38f;
-  std::vector<float> out(static_cast<size_t>(num_segments * d), kNegInf);
+  FloatBuffer out(static_cast<size_t>(num_segments * d), kNegInf);
   std::vector<int32_t> argmax(static_cast<size_t>(num_segments * d), -1);
   for (int64_t r = 0; r < n; ++r) {
     const int64_t s = segment_ids[r];
@@ -165,7 +165,7 @@ Tensor SegmentSoftmax(const Tensor& scores,
     seg_max[segment_ids[r]] =
         std::max(seg_max[segment_ids[r]], scores.data()[r]);
   }
-  std::vector<float> out(static_cast<size_t>(e));
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(e));
   std::vector<float> seg_sum(static_cast<size_t>(num_segments), 0.0f);
   for (int64_t r = 0; r < e; ++r) {
     out[r] = std::exp(scores.data()[r] - seg_max[segment_ids[r]]);

@@ -3,6 +3,7 @@
 // Message passing over a batched edge list is expressed as
 //   messages = GatherRows(X, src);            // per-edge source features
 //   aggregated = ScatterAddRows(messages, dst, num_nodes);
+// except for GIN, whose whole aggregation is the one node GinAggregate,
 // and graph-level pooling as SegmentSum/Mean/Max over node->graph ids.
 #ifndef SGCL_TENSOR_GRAPH_OPS_H_
 #define SGCL_TENSOR_GRAPH_OPS_H_
@@ -13,6 +14,18 @@
 #include "tensor/tensor.h"
 
 namespace sgcl {
+
+// The GIN aggregation (1 + eps) x_i + sum over edges e with dst[e] == i
+// of w_e x_src[e]; x [n,d], src/dst [E] with values in [0,n), weights
+// [E,1] or empty for unit weights -> [n,d]. One tape node with parents
+// {x, weights}, the bits of
+//   Add(MulScalar(x, 1 + eps),
+//       ScatterAddRows(MulBroadcastCol(GatherRows(x, src), weights), dst))
+// forward and backward, with no [E,d] intermediate. Defined in
+// tensor/gin_aggregate.cc, which states the order of every sum.
+Tensor GinAggregate(const Tensor& x, const std::vector<int32_t>& src,
+                    const std::vector<int32_t>& dst, const Tensor& weights,
+                    float eps);
 
 // out[e] = x[index[e]]; x [n,d], index values in [0,n) -> [E,d].
 Tensor GatherRows(const Tensor& x, const std::vector<int32_t>& index);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/metrics.h"
 #include "tensor/gemm.h"
@@ -26,11 +28,23 @@ void TallyMatMul(const char* which, int64_t flops) {
 
 // Accumulates `delta` into `t`'s grad if it participates in autograd.
 void AccumulateGrad(const std::shared_ptr<TensorImpl>& t,
-                    const std::vector<float>& delta) {
+                    const FloatBuffer& delta) {
   if (!t->requires_grad) return;
   t->EnsureGradAllocated();
   SGCL_DCHECK(t->grad.size() == delta.size());
   for (size_t i = 0; i < delta.size(); ++i) t->grad[i] += delta[i];
+}
+
+// The ReLU slope at output y: 1.0f where y > 0, else 0.0f (NaN in, 0
+// out). Built from bits: GCC compiles `y > 0.0f ? 1.0f : 0.0f` times a
+// gradient into a jump, which mispredicts on about every other ReLU
+// output and keeps the loop from vectorizing.
+[[gnu::always_inline]] inline float ReluSlope(float y) {
+  const uint32_t bits =
+      static_cast<uint32_t>(-static_cast<int32_t>(y > 0.0f)) & 0x3f800000u;
+  float slope;
+  std::memcpy(&slope, &bits, sizeof(slope));
+  return slope;
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b) {
@@ -39,8 +53,7 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 
 // Generic unary op: y = f(x), dx = dy * dfdx where dfdx is precomputed
 // from the forward values.
-Tensor UnaryOp(const Tensor& a, std::vector<float> out,
-               std::vector<float> dfdx) {
+Tensor UnaryOp(const Tensor& a, FloatBuffer out, FloatBuffer dfdx) {
   auto a_impl = a.impl();
   return MakeOpOutput(
       a.shape(), std::move(out), {a},
@@ -56,33 +69,76 @@ Tensor UnaryOp(const Tensor& a, std::vector<float> out,
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  SGCL_CHECK_EQ(a.dim(), 2);
-  SGCL_CHECK_EQ(b.dim(), 2);
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  SGCL_CHECK_EQ(k, b.rows());
+  return Affine(a, b, Tensor(), /*relu=*/false);
+}
+
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b, bool relu) {
+  SGCL_CHECK_EQ(x.dim(), 2);
+  SGCL_CHECK_EQ(w.dim(), 2);
+  const int64_t m = x.rows(), k = x.cols(), n = w.cols();
+  SGCL_CHECK_EQ(k, w.rows());
+  const bool has_bias = b.numel() > 0;
+  if (has_bias) {
+    SGCL_CHECK_EQ(b.dim(), 2);
+    SGCL_CHECK_EQ(b.rows(), 1);
+    SGCL_CHECK_EQ(b.cols(), n);
+  }
   TallyMatMul("matmul", 2 * m * k * n);
-  std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
-  GemmAccumulate(a.data(), b.data(), out.data(), m, k, n);
-  auto a_impl = a.impl();
-  auto b_impl = b.impl();
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(m * n));
+  GemmAccumulate(x.data(), w.data(), out.data(), m, k, n,
+                 /*accumulate=*/false);
+  if (has_bias) {
+    const float* bias = b.data();
+    for (int64_t i = 0; i < m; ++i) {
+      float* row = out.data() + i * n;
+      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
+    }
+  }
+  if (relu) {
+    float* y = out.data();
+    for (int64_t i = 0; i < m * n; ++i) y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+  }
+  auto x_impl = x.impl();
+  auto w_impl = w.impl();
+  auto b_impl = has_bias ? b.impl() : nullptr;
+  std::vector<Tensor> parents = {x, w};
+  if (has_bias) parents.push_back(b);
   return MakeOpOutput(
-      {m, n}, std::move(out), {a, b},
-      [a_impl, b_impl, m, k, n](TensorImpl& self) {
+      {m, n}, std::move(out), std::move(parents),
+      [x_impl, w_impl, b_impl, m, k, n, relu](TensorImpl& self) {
+        // dZ, the gradient before the ReLU. Its slope is read back from
+        // the output: y > 0 exactly where the pre-activation is, and a NaN
+        // pre-activation leaves y = 0.
         const float* g = self.grad.data();
-        if (a_impl->requires_grad) {
-          a_impl->EnsureGradAllocated();
-          // dA += dC * B^T.
-          const std::vector<float> bt =
-              PackTransposed(b_impl->data.data(), k, n);
-          GemmDot(g, bt.data(), a_impl->grad.data(), m, n, k,
+        FloatBuffer masked;
+        if (relu) {
+          masked = FloatBuffer::Uninitialized(static_cast<size_t>(m * n));
+          const float* y = self.data.data();
+          float* dz = masked.data();
+          for (int64_t i = 0; i < m * n; ++i) {
+            dz[i] = g[i] * ReluSlope(y[i]);
+          }
+          g = dz;
+        }
+        if (b_impl != nullptr && b_impl->requires_grad) {
+          b_impl->EnsureGradAllocated();
+          float* db = b_impl->grad.data();
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) db[j] += g[i * n + j];
+          }
+        }
+        if (x_impl->requires_grad) {
+          x_impl->EnsureGradAllocated();
+          // dX += dZ * W^T.
+          const FloatBuffer wt = PackTransposed(w_impl->data.data(), k, n);
+          GemmDot(g, wt.data(), x_impl->grad.data(), m, n, k,
                   /*accumulate=*/true);
         }
-        if (b_impl->requires_grad) {
-          b_impl->EnsureGradAllocated();
-          // dB += A^T * dC.
-          const std::vector<float> at =
-              PackTransposed(a_impl->data.data(), m, k);
-          GemmAccumulate(at.data(), g, b_impl->grad.data(), k, m, n);
+        if (w_impl->requires_grad) {
+          w_impl->EnsureGradAllocated();
+          // dW += X^T * dZ.
+          GemmAccumulateTransA(x_impl->data.data(), g, w_impl->grad.data(), m,
+                               k, n);
         }
       });
 }
@@ -93,8 +149,8 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   SGCL_CHECK_EQ(k, b.cols());
   TallyMatMul("transb", 2 * m * k * n);
-  std::vector<float> out(static_cast<size_t>(m * n));
-  const std::vector<float> bt = PackTransposed(b.data(), n, k);
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(m * n));
+  const FloatBuffer bt = PackTransposed(b.data(), n, k);
   GemmDot(a.data(), bt.data(), out.data(), m, k, n, /*accumulate=*/false);
   auto a_impl = a.impl();
   auto b_impl = b.impl();
@@ -105,14 +161,14 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
         if (a_impl->requires_grad) {
           a_impl->EnsureGradAllocated();
           // dA += dC * B.
-          GemmAccumulate(g, b_impl->data.data(), a_impl->grad.data(), m, n, k);
+          GemmAccumulate(g, b_impl->data.data(), a_impl->grad.data(), m, n, k,
+                         /*accumulate=*/true);
         }
         if (b_impl->requires_grad) {
           b_impl->EnsureGradAllocated();
           // dB += dC^T * A.
-          const std::vector<float> gt = PackTransposed(g, m, n);
-          GemmAccumulate(gt.data(), a_impl->data.data(), b_impl->grad.data(),
-                         n, m, k);
+          GemmAccumulateTransA(g, a_impl->data.data(), b_impl->grad.data(), m,
+                               n, k);
         }
       });
 }
@@ -120,7 +176,7 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
 Tensor Transpose(const Tensor& a) {
   SGCL_CHECK_EQ(a.dim(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(static_cast<size_t>(m * n));
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(m * n));
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) out[j * m + i] = a.data()[i * n + j];
   }
@@ -139,7 +195,7 @@ Tensor Transpose(const Tensor& a) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   if (a.shape() == b.shape()) {
-    std::vector<float> out(a.values());
+    FloatBuffer out(a.values());
     for (size_t i = 0; i < out.size(); ++i) out[i] += b.data()[i];
     auto a_impl = a.impl();
     auto b_impl = b.impl();
@@ -155,7 +211,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   SGCL_CHECK_EQ(b.rows(), 1);
   SGCL_CHECK_EQ(a.cols(), b.cols());
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) out[i * n + j] += b.data()[j];
   }
@@ -178,7 +234,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (size_t i = 0; i < out.size(); ++i) out[i] -= b.data()[i];
   auto a_impl = a.impl();
   auto b_impl = b.impl();
@@ -196,7 +252,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (size_t i = 0; i < out.size(); ++i) out[i] *= b.data()[i];
   auto a_impl = a.impl();
   auto b_impl = b.impl();
@@ -224,7 +280,7 @@ Tensor MulBroadcastCol(const Tensor& x, const Tensor& c) {
   SGCL_CHECK_EQ(c.cols(), 1);
   SGCL_CHECK_EQ(x.rows(), c.rows());
   const int64_t m = x.rows(), n = x.cols();
-  std::vector<float> out(x.values());
+  FloatBuffer out(x.values());
   for (int64_t i = 0; i < m; ++i) {
     const float cv = c.data()[i];
     for (int64_t j = 0; j < n; ++j) out[i * n + j] *= cv;
@@ -257,7 +313,7 @@ Tensor MulBroadcastCol(const Tensor& x, const Tensor& c) {
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (float& v : out) v += s;
   auto a_impl = a.impl();
   return MakeOpOutput(a.shape(), std::move(out), {a},
@@ -267,7 +323,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (float& v : out) v *= s;
   auto a_impl = a.impl();
   return MakeOpOutput(a.shape(), std::move(out), {a},
@@ -283,7 +339,7 @@ Tensor MulScalar(const Tensor& a, float s) {
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor Relu(const Tensor& a) {
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (float& v : out) v = v > 0.0f ? v : 0.0f;
   auto a_impl = a.impl();
   // The slope is read back from the output: y > 0 exactly where x > 0,
@@ -296,15 +352,14 @@ Tensor Relu(const Tensor& a) {
         const float* dy = self.grad.data();
         float* dx = a_impl->grad.data();
         for (size_t i = 0; i < self.grad.size(); ++i) {
-          const float slope = y[i] > 0.0f ? 1.0f : 0.0f;
-          dx[i] += dy[i] * slope;
+          dx[i] += dy[i] * ReluSlope(y[i]);
         }
       });
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     if (out[i] > 0.0f) {
       dfdx[i] = 1.0f;
@@ -317,8 +372,8 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     const float s = 1.0f / (1.0f + std::exp(-out[i]));
     out[i] = s;
@@ -328,8 +383,8 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     const float t = std::tanh(out[i]);
     out[i] = t;
@@ -339,8 +394,8 @@ Tensor Tanh(const Tensor& a) {
 }
 
 Tensor Exp(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     const float e = std::exp(out[i]);
     out[i] = e;
@@ -350,8 +405,8 @@ Tensor Exp(const Tensor& a) {
 }
 
 Tensor Log(const Tensor& a, float eps) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     const float x = out[i] > eps ? out[i] : eps;
     out[i] = std::log(x);
@@ -361,8 +416,8 @@ Tensor Log(const Tensor& a, float eps) {
 }
 
 Tensor Square(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     dfdx[i] = 2.0f * out[i];
     out[i] *= out[i];
@@ -371,8 +426,8 @@ Tensor Square(const Tensor& a) {
 }
 
 Tensor Softplus(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     const float x = out[i];
     out[i] = std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
@@ -433,7 +488,7 @@ Tensor FrobeniusNorm(const Tensor& a, float eps) {
 Tensor RowSum(const Tensor& a) {
   SGCL_CHECK_EQ(a.dim(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(static_cast<size_t>(m), 0.0f);
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     float acc = 0.0f;
     for (int64_t j = 0; j < n; ++j) acc += a.data()[i * n + j];
@@ -456,8 +511,8 @@ Tensor RowSum(const Tensor& a) {
 Tensor RowL2Normalize(const Tensor& a, float eps) {
   SGCL_CHECK_EQ(a.dim(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
-  std::vector<float> norms(static_cast<size_t>(m));
+  FloatBuffer out(a.values());
+  FloatBuffer norms = FloatBuffer::Uninitialized(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     double acc = 0.0;
     for (int64_t j = 0; j < n; ++j) {
@@ -491,7 +546,7 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
 Tensor Softmax(const Tensor& a) {
   SGCL_CHECK_EQ(a.dim(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (int64_t i = 0; i < m; ++i) {
     float* row = out.data() + i * n;
     float mx = row[0];
@@ -523,7 +578,7 @@ Tensor Softmax(const Tensor& a) {
 Tensor LogSoftmax(const Tensor& a) {
   SGCL_CHECK_EQ(a.dim(), 2);
   const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
+  FloatBuffer out(a.values());
   for (int64_t i = 0; i < m; ++i) {
     float* row = out.data() + i * n;
     float mx = row[0];
@@ -558,8 +613,8 @@ Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training) {
   if (!training || p == 0.0f) return a;
   SGCL_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
+  FloatBuffer out(a.values());
+  FloatBuffer dfdx = FloatBuffer::Uninitialized(out.size());
   for (size_t i = 0; i < out.size(); ++i) {
     if (rng->Bernoulli(p)) {
       out[i] = 0.0f;
@@ -577,7 +632,8 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   SGCL_CHECK_EQ(b.dim(), 2);
   SGCL_CHECK_EQ(a.rows(), b.rows());
   const int64_t m = a.rows(), na = a.cols(), nb = b.cols();
-  std::vector<float> out(static_cast<size_t>(m * (na + nb)));
+  FloatBuffer out =
+      FloatBuffer::Uninitialized(static_cast<size_t>(m * (na + nb)));
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < na; ++j) out[i * (na + nb) + j] = a.At(i, j);
     for (int64_t j = 0; j < nb; ++j) out[i * (na + nb) + na + j] = b.At(i, j);
@@ -613,7 +669,7 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
   const int64_t m = logits.rows(), c = logits.cols();
   SGCL_CHECK_EQ(m, static_cast<int64_t>(labels.size()));
   // Forward: mean over rows of -log softmax(logits)[label].
-  std::vector<float> probs(logits.values());
+  FloatBuffer probs(logits.values());
   double loss = 0.0;
   for (int64_t i = 0; i < m; ++i) {
     float* row = probs.data() + i * c;

@@ -18,6 +18,13 @@ namespace sgcl {
 
 // [m,k] x [k,n] -> [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
+// relu?(x w + b): x [m,k], w [k,n], b [1,n] or empty (no bias) -> [m,n].
+// One tape node with parents {x, w, b}, the bits of
+// Relu(Add(MatMul(x, w), b)): each output is the product summed from 0,
+// then the bias added, then the ReLU. The bias gradient is summed over
+// ascending rows.
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b,
+              bool relu);
 // a [m,k], b [n,k] -> a * b^T, [m,n]. Avoids materializing b^T.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 // [m,n] -> [n,m].

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace sgcl {
@@ -17,7 +18,21 @@ int64_t NumelOf(const std::vector<int64_t>& shape) {
   return n;
 }
 
+// Counts a data buffer handed to a tensor.
+void CountData(const FloatBuffer& data) {
+  static Counter* const c =
+      MetricsRegistry::Global().GetCounter("tensor/data_bytes");
+  c->Increment(static_cast<int64_t>(data.size() * sizeof(float)));
+}
+
 }  // namespace
+
+void TensorImpl::AllocateGrad() {
+  static Counter* const grad_bytes =
+      MetricsRegistry::Global().GetCounter("tensor/grad_bytes");
+  grad.assign(data.size(), 0.0f);
+  grad_bytes->Increment(static_cast<int64_t>(grad.size() * sizeof(float)));
+}
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape, bool requires_grad) {
   return Full(std::move(shape), 0.0f, requires_grad);
@@ -33,18 +48,21 @@ Tensor Tensor::Full(std::vector<int64_t> shape, float value,
   const int64_t n = NumelOf(shape);
   impl->shape = std::move(shape);
   impl->data.assign(static_cast<size_t>(n), value);
+  CountData(impl->data);
   impl->requires_grad = requires_grad;
   if (requires_grad) impl->EnsureGradAllocated();
   return Tensor(std::move(impl));
 }
 
 Tensor Tensor::FromVector(std::vector<int64_t> shape,
-                          std::vector<float> values, bool requires_grad) {
+                          const std::vector<float>& values,
+                          bool requires_grad) {
   const int64_t n = NumelOf(shape);
   SGCL_CHECK_EQ(n, static_cast<int64_t>(values.size()));
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data = std::move(values);
+  impl->data = values;
+  CountData(impl->data);
   impl->requires_grad = requires_grad;
   if (requires_grad) impl->EnsureGradAllocated();
   return Tensor(std::move(impl));
@@ -94,6 +112,7 @@ Tensor Tensor::Detach() const {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = impl_->shape;
   impl->data = impl_->data;
+  CountData(impl->data);
   impl->requires_grad = false;
   return Tensor(std::move(impl));
 }
@@ -115,7 +134,7 @@ std::string Tensor::DebugString() const {
 
 namespace internal {
 
-Tensor MakeOpOutput(std::vector<int64_t> shape, std::vector<float> data,
+Tensor MakeOpOutput(std::vector<int64_t> shape, FloatBuffer data,
                     std::vector<Tensor> parents,
                     std::function<void(TensorImpl&)> backward_fn) {
   const int64_t n = NumelOf(shape);
@@ -123,6 +142,7 @@ Tensor MakeOpOutput(std::vector<int64_t> shape, std::vector<float> data,
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
   impl->data = std::move(data);
+  CountData(impl->data);
   bool any_grad = false;
   for (const Tensor& p : parents) {
     if (p.requires_grad()) {
@@ -131,6 +151,9 @@ Tensor MakeOpOutput(std::vector<int64_t> shape, std::vector<float> data,
     }
   }
   if (any_grad) {
+    static Counter* const tape_nodes =
+        MetricsRegistry::Global().GetCounter("tensor/tape_nodes");
+    tape_nodes->Increment();
     impl->requires_grad = true;
     impl->EnsureGradAllocated();
     impl->backward_fn = std::move(backward_fn);

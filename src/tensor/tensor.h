@@ -6,7 +6,13 @@
 // Backward() on a scalar runs the tape in reverse topological order.
 //
 // The op library lives in "tensor/ops.h"; this header only defines storage,
-// accessors, and the backward traversal.
+// accessors, and the backward traversal. Data and gradient buffers come
+// from the BufferRecycler (tensor/buffer.h).
+//
+// Metrics (common/metrics.h), counted for every tensor:
+//   tensor/tape_nodes  op outputs wired into the autograd tape
+//   tensor/data_bytes  bytes of data buffers handed to tensors
+//   tensor/grad_bytes  bytes of gradient buffers handed to tensors
 #ifndef SGCL_TENSOR_TENSOR_H_
 #define SGCL_TENSOR_TENSOR_H_
 
@@ -17,15 +23,16 @@
 #include <vector>
 
 #include "common/check.h"
+#include "tensor/buffer.h"
 
 namespace sgcl {
 
 struct TensorImpl {
   std::vector<int64_t> shape;
-  std::vector<float> data;
+  FloatBuffer data;
   // Allocated lazily (by Backward or by ops that need it) when
   // requires_grad; same length as data.
-  std::vector<float> grad;
+  FloatBuffer grad;
   bool requires_grad = false;
   // Non-null only for op outputs. Reads this->grad and accumulates into
   // parents' grads.
@@ -36,8 +43,10 @@ struct TensorImpl {
   // (rank-0, empty) tensor, matching the product of the shape otherwise.
   int64_t numel() const { return static_cast<int64_t>(data.size()); }
   void EnsureGradAllocated() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
+    if (grad.size() != data.size()) AllocateGrad();
   }
+  // Replaces grad with zeros of data's length.
+  void AllocateGrad();
 };
 
 class Tensor {
@@ -51,7 +60,7 @@ class Tensor {
   static Tensor Full(std::vector<int64_t> shape, float value,
                      bool requires_grad = false);
   static Tensor FromVector(std::vector<int64_t> shape,
-                           std::vector<float> values,
+                           const std::vector<float>& values,
                            bool requires_grad = false);
   static Tensor Scalar(float value, bool requires_grad = false);
 
@@ -72,9 +81,9 @@ class Tensor {
   // ---- Data access ----
   float* data() { return impl_->data.data(); }
   const float* data() const { return impl_->data.data(); }
-  const std::vector<float>& values() const { return impl_->data; }
+  const FloatBuffer& values() const { return impl_->data; }
   float* grad() { return impl_->grad.data(); }
-  const std::vector<float>& grad_values() const { return impl_->grad; }
+  const FloatBuffer& grad_values() const { return impl_->grad; }
   bool has_grad() const { return !impl_->grad.empty(); }
 
   float At(int64_t r, int64_t c) const {
@@ -124,7 +133,7 @@ namespace internal {
 
 // Builds an op-output tensor: shape/data plus autograd wiring when any
 // parent requires grad.
-Tensor MakeOpOutput(std::vector<int64_t> shape, std::vector<float> data,
+Tensor MakeOpOutput(std::vector<int64_t> shape, FloatBuffer data,
                     std::vector<Tensor> parents,
                     std::function<void(TensorImpl&)> backward_fn);
 

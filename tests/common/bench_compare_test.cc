@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace sgcl {
 namespace {
 
@@ -213,7 +215,7 @@ TEST_F(BenchCompareTest, WriteBenchJsonRecordsHostAndRows) {
   auto host = LoadBenchmarkHost(path);
   ASSERT_TRUE(host.ok()) << host.status().ToString();
   EXPECT_FALSE(host->num_cpus.empty());
-  EXPECT_FALSE(host->build_type.empty());
+  EXPECT_EQ(host->build_type, SgclBuildType());
   std::ifstream in(path);
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
@@ -236,8 +238,15 @@ TEST_F(BenchCompareTest, CommittedBenchFilesRecordTheirHost) {
     auto host = LoadBenchmarkHost(entry.path().string());
     ASSERT_TRUE(host.ok()) << name << ": " << host.status().ToString();
     EXPECT_FALSE(host->num_cpus.empty()) << name << " has no num_cpus";
-    EXPECT_FALSE(host->build_type.empty())
-        << name << " has no library_build_type";
+    EXPECT_FALSE(host->build_type.empty()) << name << " has no build type";
+    // google-benchmark's library_build_type is the benchmark library's
+    // build, not sgcl's; only sgcl_build_type says how sgcl was built.
+    auto doc = ParseJsonFile(entry.path().string());
+    ASSERT_TRUE(doc.ok()) << name;
+    const JsonValue* context = doc->Find("context");
+    ASSERT_NE(context, nullptr) << name;
+    EXPECT_NE(context->GetString("sgcl_build_type"), "")
+        << name << " has no sgcl_build_type";
   }
   EXPECT_GT(files, 0) << "no BENCH_*.json under " << root;
 }
